@@ -26,6 +26,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter, perf_counter_ns
 
@@ -49,11 +50,35 @@ E2E_UNITS = {
 # every process on it.  Each pass is bracketed by a fixed reference task that
 # does not touch the package, and a calibrated time is the measured time
 # scaled as if the reference had taken its nominal time; the drift then
-# cancels in the ratio.  In-process workloads use a computation that mixes a
-# pure-Python float loop with small numpy calls, like the package's hot
-# paths; cli, whose ops are fresh interpreters, uses a fresh interpreter
-# that imports numpy.
-REF_NOMINAL_S = {"loop": 0.00125, "process": 0.2}
+# cancels in the ratio.  The workloads use a computation shaped like the
+# package's hot paths: small frozen dataclasses built in a Python loop, then
+# a numpy ufunc over 4096 points whose result is scanned as a list.  Its
+# speed follows the host's closely enough that the ratio of a simulate run,
+# a batch of closed-form advise calls or an entry solve to it spread by
+# 0.05-0.09 over a minute, against 0.14-0.18 for a float loop with a few
+# numpy calls; it also steadies cli, whose commands run in other processes
+# on the same host.  setup_s, which times fresh processes, is calibrated
+# with a fresh interpreter that imports numpy.
+REF_NOMINAL_S = {"loop": 0.0006, "process": 0.2}
+
+
+@dataclass(frozen=True)
+class _Point:
+    r: float
+    theta: float
+
+
+def _reference_loop(np, grid) -> int:
+    """One round of the in-process reference task; returns a checksum."""
+    points = []
+    for i in range(300):
+        points.append(_Point(i * 1e-3, math.atan2(i, 3.0)))
+    values = np.arccos(np.clip(grid * 0.5, -1.0, 1.0)).tolist()
+    crossings = 0
+    for i in range(0, 4095, 4):
+        if (values[i] < 0.7) != (values[i + 1] < 0.7):
+            crossings += 1
+    return len(points) + crossings
 
 EVENT_KINDS = ("tangency", "fl_entry", "ul_entry", "origin_passage", "reflection",
                "barrier_crossing", "shore_exit", "reached_e", "strategy_error")
@@ -96,21 +121,18 @@ def reference_s(kind: str) -> float:
     grid = np.linspace(0.0, 1.0, 4096)
     for _ in range(7):
         t0 = perf_counter()
-        acc = 0.0
-        for i in range(1, 5001):
-            acc += math.sqrt(i) / i
-        for _ in range(4):
-            acc += sum(np.arccos(np.clip(grid * 0.5, -1.0, 1.0)).tolist())
+        _reference_loop(np, grid)
         times.append(perf_counter() - t0)
     return statistics.median(times)
 
 
 class Calibrator:
-    """Samples the reference task between passes and, for in-process
-    workloads, between ops at most every half second; an op's factor is the
-    nominal reference time over the reference time interpolated at its start."""
+    """Samples the reference task between passes and, for the loop task,
+    between ops at most every 0.1 s; an op's factor is the nominal
+    reference time over the reference time interpolated at its midpoint, so
+    an op longer than the period is scaled by the samples on both sides."""
 
-    period_ns = 500_000_000
+    period_ns = 100_000_000
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
@@ -132,9 +154,9 @@ class Calibrator:
         if self.kind == "loop" and perf_counter_ns() - self.last_ns >= self.period_ns:
             self.sample()
 
-    def factors(self, starts: list[int]) -> list[float]:
+    def factors(self, times: list[float]) -> list[float]:
         out = []
-        for t in starts:
+        for t in times:
             k = bisect.bisect_left(self.t_ns, t)
             if k == 0 or k == len(self.t_ns):
                 ref = self.ref_s[min(k, len(self.t_ns) - 1)]
@@ -149,7 +171,7 @@ class Calibrator:
 def measure(w, seconds: float, tracer=None) -> tuple[list, Calibrator]:
     """Whole passes until `seconds` have gone by (at least one), with the
     reference task sampled around and inside every pass."""
-    cal = Calibrator(w.reference)
+    cal = Calibrator("loop")
     passes = []
     t0 = perf_counter()
     while True:
@@ -165,7 +187,7 @@ def measure(w, seconds: float, tracer=None) -> tuple[list, Calibrator]:
             break
     cal.sample()
     for p in passes:
-        p.scale = cal.factors(p.t_ns)
+        p.scale = cal.factors([t + ns / 2 for t, ns in zip(p.t_ns, p.lat_ns)])
     return passes, cal
 
 
@@ -240,14 +262,14 @@ def setup_times(name: str, seed: int, tiny: bool) -> tuple[list[float], list[flo
         starts.append(t0)
         times.append((perf_counter_ns() - t0) / 1e9)
     cal.sample()
-    return times, [t * f for t, f in zip(times, cal.factors(starts))]
+    mids = [t0 + t * 5e8 for t0, t in zip(starts, times)]
+    return times, [t * f for t, f in zip(times, cal.factors(mids))]
 
 
-def peak_rss_mb(name: str) -> float:
-    # cli commands run in child processes; their ru_maxrss also holds this
-    # process's peak at the time they were spawned.
-    who = resource.RUSAGE_CHILDREN if name == "cli" else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb(w) -> float:
+    """Peak RSS of the benchmark process, or for cli of its largest command."""
+    kb = w.max_rss_kb if w.name == "cli" else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return kb / 1024.0
 
 
 def layer_metrics(tracer) -> dict:
@@ -449,7 +471,7 @@ def run(args, ctx, scratch, workloads) -> int:
         s = summarize(measure(w, args.seconds), tail, known, repeats)
         s["setup_s_raw"] = statistics.median(setups)
         s["setup_s"] = statistics.median(setups_cal)
-        s["peak_rss_mb"] = peak_rss_mb(name)
+        s["peak_rss_mb"] = peak_rss_mb(w)
         for line in describe(s):
             print(line)
         print(f"setup_s          {s['setup_s']:.6g} s  (calibrated, median of {len(setups)}; "

@@ -68,6 +68,22 @@ def test_same_seed_same_inputs():
         del sys.path[:2]
 
 
+def test_hji_cells_kept_matches_the_sweep():
+    # The verify_sweep oracle mirrors hji_sweep's band filter; today no kept
+    # cell is dropped, so the two counts agree.
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    try:
+        import workloads
+
+        from ladylake import GameParams, verify
+
+        for mu in workloads.MUS:
+            p = GameParams(mu)
+            assert workloads.hji_cells_kept(p, 6, 6) == verify.hji_sweep(p, 6, 6).n_samples
+    finally:
+        del sys.path[:2]
+
+
 def test_fails_without_sources(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",

@@ -7,9 +7,9 @@ Usage, from the root of a checkout:
     python3 perfbench/sweep.py --seeds 1-10 --save perfbench/out/a.json
     python3 perfbench/sweep.py --seeds 11-20 --baseline perfbench/out/a.json
 
-Each run is `perfbench/run.py` in a fresh process, one at a time; the order
-of the workloads rotates from seed to seed.  Every run's report is printed
-as it finishes.  At the end, for each workload and end-to-end metric, the
+Each run is `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds,
+in a fresh process, one at a time; the order of the workloads rotates from
+seed to seed.  Every run's report is printed as it finishes.  At the end, for each workload and end-to-end metric, the
 sweep prints the median, the quartile spread as a share of the median (as
 statistics.quantiles(values, n=4) gives the quartiles) and, with
 --baseline, the change of the median against a saved sweep, each next to
@@ -48,8 +48,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", default=",".join(names))
     ap.add_argument("--seeds", default="1", help="e.g. 1-10 or 3,5,8")
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--save", type=Path, help="write the collected results here")
     ap.add_argument("--baseline", type=Path, help="compare medians with a saved sweep")
     args = ap.parse_args(argv)
@@ -62,7 +60,7 @@ def main(argv=None) -> int:
         order = chosen[k % len(chosen):] + chosen[:k % len(chosen)]
         for w in order:
             cmd = [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(seed),
-                   "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
+                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
             print(proc.stdout, end="")
             try:
@@ -80,10 +78,9 @@ def main(argv=None) -> int:
         args.save.parent.mkdir(parents=True, exist_ok=True)
         args.save.write_text(json.dumps(results, indent=1))
     base = json.loads(args.baseline.read_text()) if args.baseline else {}
-    metrics = bench["end_to_end"] if args.trace == 0 else bench["per_layer"]
     print("\n# workload      metric           median        spread  bound  vs baseline")
     for w in chosen:
-        for m in metrics:
+        for m in bench["end_to_end"]:
             vals = [r["metrics"][m["name"]]["value"] for r in results[w]]
             if not vals:
                 continue
@@ -94,7 +91,7 @@ def main(argv=None) -> int:
                 line += f" {(q3 - q1) / abs(med):6.3f}"
             else:
                 line += "      -"
-            line += f"  {m.get('bound', float('nan')):5.3f}"
+            line += f"  {m['bound']:5.3f}"
             old = [r["metrics"][m["name"]]["value"] for r in base.get(w, [])]
             if old and statistics.median(old):
                 line += f"  {worse_by(m, med, statistics.median(old)):+.3f} worse"
