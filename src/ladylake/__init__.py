@@ -34,4 +34,4 @@ __all__ = [
     "classify",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

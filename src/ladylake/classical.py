@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import ControlPair, DomainError, GameParams, PolarState, RegionError
+from .model import ControlPair, DomainError, GameParams, PolarState, RegionError, classical_drift
 from .rootfind import bisect
 
 
@@ -56,14 +56,7 @@ def classical_value(state: PolarState, params: GameParams) -> float:
     mu = params.mu
     if state.r < mu - 1e-15:
         raise RegionError(f"classical value undefined for r = {state.r} < mu = {mu}")
-    r = max(state.r, mu)
-    return (
-        state.theta
-        - math.sqrt(1.0 / mu**2 - 1.0)
-        + math.acos(mu)
-        + math.sqrt(max(0.0, r * r / mu**2 - 1.0))
-        - math.acos(min(1.0, mu / r))
-    )
+    return state.theta - classical_drift(1.0, mu) + classical_drift(max(state.r, mu), mu)
 
 
 def escape_angle(params: GameParams) -> float:
@@ -71,8 +64,7 @@ def escape_angle(params: GameParams) -> float:
 
     May be negative below the critical speed ratio.
     """
-    mu = params.mu
-    return math.pi - math.sqrt(1.0 / mu**2 - 1.0) + math.acos(mu)
+    return math.pi - classical_drift(1.0, params.mu)
 
 
 def critical_mu(params: GameParams | None = None) -> float:
@@ -83,27 +75,24 @@ def critical_mu(params: GameParams | None = None) -> float:
     """
     tol = params.tol_root if params is not None else 1e-12
 
-    def f(mu: float) -> float:
-        return math.pi - math.sqrt(1.0 / mu**2 - 1.0) + math.acos(mu)
+    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, tol)
 
-    return bisect(f, 1e-6, 1.0 - 1e-9, tol)
+
+def _barrier_radius(r: float, mu: float) -> float:
+    if not mu - 1e-12 <= r <= 1.0 + 1e-12:
+        raise DomainError(f"barrier defined on [mu, 1], got r = {r}")
+    return min(max(r, mu), 1.0)
 
 
 def barrier_theta(r: float, params: GameParams) -> float:
     """Angle of the barrier trajectory from the antipodal point, r in [mu, 1]."""
-    mu = params.mu
-    if not mu - 1e-12 <= r <= 1.0 + 1e-12:
-        raise DomainError(f"barrier defined on [mu, 1], got r = {r}")
-    r = min(max(r, mu), 1.0)
-    return math.pi - math.sqrt(max(0.0, r * r / mu**2 - 1.0)) + math.acos(min(1.0, mu / r))
+    return math.pi - classical_drift(_barrier_radius(r, params.mu), params.mu)
 
 
 def barrier_slope(r: float, params: GameParams) -> float:
     """d(theta)/dr along the barrier: -sqrt(r^2 - mu^2) / (mu r)."""
     mu = params.mu
-    if not mu - 1e-12 <= r <= 1.0 + 1e-12:
-        raise DomainError(f"barrier defined on [mu, 1], got r = {r}")
-    r = min(max(r, mu), 1.0)
+    r = _barrier_radius(r, mu)
     return -math.sqrt(max(0.0, r * r - mu * mu)) / (mu * r)
 
 
@@ -131,20 +120,22 @@ def barrier_residual(r: float, params: GameParams) -> float:
     return semipermeability_residual(barrier_slope(r, params), r, params)
 
 
-def classify_vs_barrier(state: PolarState, params: GameParams) -> BarrierSide:
-    """Locate a state relative to the barrier curve, within tol_event."""
+def barrier_side(r: float, theta: float, params: GameParams) -> BarrierSide:
+    """Side of the barrier curve that (r, theta) lies on, within tol_event."""
     mu = params.mu
-    if state.r < mu:
-        if (
-            abs(state.r - mu) <= params.tol_event
-            and abs(state.theta - math.pi) <= params.tol_event
-        ):
+    if r < mu:
+        if abs(r - mu) <= params.tol_event and abs(theta - math.pi) <= params.tol_event:
             return BarrierSide.ON
         return BarrierSide.BELOW
-    b = barrier_theta(state.r, params)
-    if abs(state.theta - b) <= params.tol_event:
+    b = barrier_theta(r, params)
+    if abs(theta - b) <= params.tol_event:
         return BarrierSide.ON
-    return BarrierSide.ABOVE if state.theta > b else BarrierSide.BELOW
+    return BarrierSide.ABOVE if theta > b else BarrierSide.BELOW
+
+
+def classify_vs_barrier(state: PolarState, params: GameParams) -> BarrierSide:
+    """Locate a state relative to the barrier curve, within tol_event."""
+    return barrier_side(state.r, state.theta, params)
 
 
 def solve_classical(state: PolarState, params: GameParams) -> ClassicalSolution:

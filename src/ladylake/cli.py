@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import sys
@@ -20,9 +21,10 @@ from .model import (
     LakeGameError,
     PolarState,
     canonicalize,
+    classical_drift,
 )
 from .sim import StrategySpec, deviation_report, simulate
-from .solution import Region, advise
+from .solution import advise
 
 _PI = math.pi
 
@@ -92,12 +94,6 @@ def _polyline(points: list[tuple[float, float]], cls: str) -> str:
     return f'  <polyline class="{cls}" points="{pts}" />'
 
 
-def _parse_mu(value: float) -> GameParams:
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"mu must lie in (0, 1), got {value}")
-    return GameParams(value)
-
-
 def parse_strategy(side: str, text: str) -> StrategySpec:
     """Strategy mini-language: eq | constant:W | switching:T | fixed:C,S |
     perturbed:D."""
@@ -120,7 +116,7 @@ def parse_strategy(side: str, text: str) -> StrategySpec:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    params = _parse_mu(args.mu)
+    params = GameParams(args.mu)
     state, _ = canonicalize(args.r, args.theta)
     adv = advise(state, params, omega_now=args.omega_now)
     out = {
@@ -159,31 +155,21 @@ def _classical_trajectory(theta0: float, params: GameParams, n: int) -> list[tup
     pts = []
     for k in range(n):
         r = mu + (1.0 - mu) * k / (n - 1)
-        theta = (
-            theta0
-            - math.sqrt(max(0.0, r * r / (mu * mu) - 1.0))
-            + math.acos(min(1.0, mu / r))
-        )
-        pts.append((r, theta))
+        pts.append((r, theta0 - classical_drift(r, mu)))
     return pts
 
 
-def _fl_tributary_path(s: float, params: GameParams, n: int) -> list[tuple[float, float]]:
-    """Retrograde tributary samples truncated to the below-barrier region."""
-    mu = params.mu
+def _below_barrier(samples, params: GameParams) -> list[tuple[float, float]]:
+    """Leading flowfield samples that stay in the lake and below the barrier."""
     pts = []
-    tau = 0.0
-    dtau = 4.0 / n
-    for _ in range(2 * n):
-        smp = focal.flowfield_sample(s, tau, params)
-        # Allow a rounding ulp past theta = pi at the entry point itself.
+    for smp in samples:
+        # Allow a rounding ulp past theta = pi at the focal-line entry point.
         if smp.r >= 1.0 or not -1e-9 <= smp.theta <= _PI + 1e-9:
             break
         theta = min(max(smp.theta, 0.0), _PI)
-        if smp.r >= mu and theta > classical.barrier_theta(smp.r, params):
+        if smp.r >= params.mu and theta > classical.barrier_theta(smp.r, params):
             break
         pts.append((smp.r, theta))
-        tau += dtau
     return pts
 
 
@@ -191,10 +177,8 @@ def _flowfield_paths(game: str, params: GameParams, n_s: int, n_ul: int, n_pts: 
     """(class, points) pairs for one flowfield figure."""
     mu = params.mu
     paths: list[tuple[str, list[tuple[float, float]]]] = []
-    barrier = [
-        (mu + (1.0 - mu) * k / (n_pts - 1), None) for k in range(n_pts)
-    ]
-    barrier = [(r, classical.barrier_theta(r, params)) for r, _ in barrier]
+    # The barrier is the classical equilibrium path through the antipodal point.
+    barrier = _classical_trajectory(_PI, params, n_pts)
     if game == "classical":
         for k in range(1, n_s + 1):
             theta0 = _PI * k / n_s
@@ -204,20 +188,14 @@ def _flowfield_paths(game: str, params: GameParams, n_s: int, n_ul: int, n_pts: 
     lo, hi = 0.02 * mu, 0.999 * mu
     for k in range(n_s):
         s = lo * (hi / lo) ** (k / (n_s - 1))
-        pts = _fl_tributary_path(s, params, n_pts)
+        taus = itertools.accumulate([4.0 / n_pts] * (2 * n_pts - 1), initial=0.0)
+        pts = _below_barrier((focal.flowfield_sample(s, tau, params) for tau in taus), params)
         if len(pts) >= 2:
             paths.append(("FocalTributary", pts))
     for k in range(n_ul):
         r_exit = 0.9 * k / n_ul
-        pts = []
-        for j in range(n_pts):
-            tau = _PI * j / (n_pts - 1)
-            smp = universal.flowfield_sample(tau, params, r_exit)
-            if smp.r >= 1.0 or smp.theta > _PI:
-                break
-            if smp.r >= mu and smp.theta > classical.barrier_theta(smp.r, params):
-                break
-            pts.append((smp.r, smp.theta))
+        taus = (_PI * j / (n_pts - 1) for j in range(n_pts))
+        pts = _below_barrier((universal.flowfield_sample(tau, params, r_exit) for tau in taus), params)
         if len(pts) >= 2:
             paths.append(("UniversalTributary", pts))
     paths.append(("focal-line", [(params.eps_r, _PI), (mu, _PI)]))
@@ -228,7 +206,7 @@ def _flowfield_paths(game: str, params: GameParams, n_s: int, n_ul: int, n_pts: 
 
 
 def cmd_flowfield(args: argparse.Namespace) -> int:
-    params = _parse_mu(args.mu)
+    params = GameParams(args.mu)
     paths = _flowfield_paths(args.game, params, args.s_grid, args.ul_grid, args.samples)
     if args.out.endswith(".svg"):
         body = []
@@ -242,12 +220,8 @@ def cmd_flowfield(args: argparse.Namespace) -> int:
             for r, th in pts:
                 buf.write(f"{idx},{cls},{_fmt(r)},{_fmt(th)}\n")
         text = buf.getvalue()
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -286,29 +260,25 @@ def _simulate_svg(traj) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _parse_mu(args.mu)
+    params = GameParams(args.mu)
     state, _ = canonicalize(args.r0, args.theta0)
     lady = parse_strategy("lady", args.lady)
     man = parse_strategy("man", args.man)
     traj = simulate(state, lady, man, dt=args.dt, t_max=args.t_max, params=params)
     csv_text = _trajectory_csv(traj)
-    try:
-        if args.out is None:
-            sys.stdout.write(csv_text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        if args.svg is not None:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(_simulate_svg(traj))
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 3
+    if args.out is None:
+        sys.stdout.write(csv_text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+    if args.svg is not None:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(_simulate_svg(traj))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = _parse_mu(args.mu)
+    params = GameParams(args.mu)
     mu = params.mu
     hji = verify.hji_sweep(params, args.grid, args.grid)
     barrier = verify.barrier_sweep(params, 1000)
@@ -415,12 +385,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except LakeGameError as exc:
+    except (LakeGameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

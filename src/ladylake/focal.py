@@ -233,6 +233,18 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
     The scan domains are truncated so every square root stays real:
     s <= sqrt(mu r) keeps the tangent leg real, and the outward-only case
     additionally needs s >= r.
+
+    Each case has at most one root.  With a = s^2/mu, the closest-approach
+    radius, and g = (2/mu) sqrt(1 - s^2/mu^2) >= 0, the mismatches obey
+
+        dDelta_1/ds = g (1 + sqrt(s^2 - a^2) / sqrt(r^2 - a^2)) > 0,
+        dDelta_2/ds = g (1 - sqrt(s^2 - a^2) / sqrt(r^2 - a^2)) <= 0,
+
+    the second because s >= r in case Two.  Delta_1(0) = r/mu - theta < 0
+    on a focal tributary, Delta_2(r) = pi - theta >= 0, and for r < mu the
+    two cases meet at s_hi = sqrt(mu r), where the tangent leg vanishes.
+    So case One has a root iff Delta_1(s_hi) >= 0; otherwise case Two has
+    exactly one.
     """
     mu = params.mu
     r, theta = state.r, state.theta

@@ -28,10 +28,20 @@ class NoRootError(LakeGameError):
     """No focal-line entry radius could be bracketed for the given state."""
 
 
+def classical_drift(r: float, mu: float) -> float:
+    """Separation lost along the classical equilibrium path from radius mu
+    out to radius r >= mu: sqrt(r^2/mu^2 - 1) - acos(mu/r).
+
+    Every closed form of the classical game derives from it.  At r = 1 it
+    is sqrt(1/mu^2 - 1) - acos(mu), and the escape angle is pi minus that.
+    """
+    return math.sqrt(max(0.0, r * r / mu**2 - 1.0)) - math.acos(min(1.0, mu / r))
+
+
 def _critical_flag(mu: float) -> bool:
-    # Guaranteed escape angle pi - sqrt(1/mu^2 - 1) + acos(mu); the min-time
-    # game is still defined when it is non-positive, so this is only a flag.
-    return math.pi - math.sqrt(1.0 / mu**2 - 1.0) + math.acos(mu) <= 0.0
+    # The min-time game is still defined when the guaranteed escape angle
+    # is non-positive, so this is only a flag.
+    return math.pi - classical_drift(1.0, mu) <= 0.0
 
 
 @dataclass(frozen=True)
@@ -133,8 +143,6 @@ def canonicalize(r: float, theta_signed: float) -> tuple[PolarState, bool]:
     Returns the canonical state and a flag that is True iff the input
     angle was negative (the state was mirrored).
     """
-    if not -1e-12 <= r <= 1.0 + 1e-12:
-        raise DomainError(f"r must lie in [0, 1], got {r}")
     if not -math.pi - 1e-12 <= theta_signed <= math.pi + 1e-12:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta_signed}")
     reflected = theta_signed < 0.0

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import classical, focal
+from . import classical, focal, solution
 from .model import (
     ControlPair,
     DomainError,
     GameParams,
     LakeGameError,
-    NoRootError,
     PolarState,
     RegionError,
     reflect_controls,
@@ -124,51 +124,42 @@ class Trajectory:
         return out
 
 
-class _EquilibriumLady:
-    """State-feedback equilibrium heading with a warm-started entry solve.
+class _Lady:
+    """State-feedback equilibrium heading with a warm-started entry solve,
+    rotated by delta_psi off the focal line (0 for equilibrium play).
 
     The focal-line entry radius is a constant of the equilibrium motion,
     so between steps it is refined locally around the previous value and
-    a full grid scan is only a fallback.
+    a full grid scan is only a fallback.  On the focal line itself the
+    exact reactive control is played, so that the arrival at the
+    antipodal point stays well defined.
     """
 
-    frame_fixed = False
-    snap_to_fl = True
-    is_equilibrium = True
-
-    def __init__(self, params: GameParams) -> None:
+    def __init__(self, params: GameParams, delta_psi: float) -> None:
         self.params = params
+        self.cos_d = math.cos(delta_psi)
+        self.sin_d = math.sin(delta_psi)
         self.s: float | None = None
-        self.phase: focal.Phase | None = None
-        self.phase_flipped = False
+        # Case of the path still ahead: One until the closest approach to
+        # the centre, Two after it.
+        self.case: focal.EntryCase | None = None
+        self.tangency_passed = False
 
     def reset(self) -> None:
         self.s = None
-        self.phase = None
-
-    def _full_solve(self, r: float, th: float) -> float:
-        entry = focal.solve_entry(PolarState(min(r, 1.0), min(th, _PI)), self.params)
-        self.s = entry.s
-        self.phase = (
-            focal.Phase.PRE_TANGENT
-            if entry.case is focal.EntryCase.ONE
-            else focal.Phase.POST_TANGENT
-        )
-        return entry.s
+        self.case = None
 
     def _resolve_s(self, r: float, th: float) -> float:
         if self.s is None:
-            return self._full_solve(r, th)
+            entry = focal.solve_entry(PolarState(min(r, 1.0), min(th, _PI)), self.params)
+            self.s, self.case = entry.s, entry.case
+            return self.s
         # The entry radius is a constant of the equilibrium motion, so a
         # failed local refinement (possible right at the tangency circle,
         # where the cached value sits on the domain edge) keeps the cache
-        # rather than rescanning, which would flip the phase spuriously.
+        # rather than rescanning, which would flip the case spuriously.
         mu = self.params.mu
-        case = (
-            focal.EntryCase.ONE
-            if self.phase is focal.Phase.PRE_TANGENT
-            else focal.EntryCase.TWO
-        )
+        case = self.case
         hi = min(mu, math.sqrt(mu * r))
         lo = r if case is focal.EntryCase.TWO else 0.0
         if hi <= lo:
@@ -194,7 +185,7 @@ class _EquilibriumLady:
             w *= 8.0
 
     def __call__(
-        self, t: float, r: float, th: float, omega_now: float | None
+        self, r: float, th: float, omega_now: float | None
     ) -> tuple[float, float]:
         mu = self.params.mu
         r = min(max(r, self.params.eps_r), 1.0)
@@ -203,137 +194,34 @@ class _EquilibriumLady:
             # On the focal line: cancel theta drift against M's current rate.
             sin_psi = min(1.0, max(-1.0, omega_now * r / mu))
             return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
-        if r >= mu:
-            b = classical.barrier_theta(r, self.params)
-            if th >= b - 1e-12:
-                sin_psi = mu / r
-                return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
-        if th <= r / mu:
+        region = solution.region_of(r, th, self.params)
+        if region in solution.CLASSICAL_REGIONS:
+            s = mu / r
+            c = math.sqrt(max(0.0, 1.0 - s * s))
+        elif region in solution.UNIVERSAL_REGIONS:
             self.reset()
-            return -1.0, 0.0
-        s = self._resolve_s(r, th)
-        a = s * s / mu
-        if self.phase is focal.Phase.PRE_TANGENT and r <= a + _TANGENCY_SLACK:
-            self.phase = focal.Phase.POST_TANGENT
-            self.phase_flipped = True
-        sin_psi = min(1.0, s * s / (mu * max(r, a)))
-        cos_mag = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
-        if self.phase is focal.Phase.PRE_TANGENT:
-            return -cos_mag, sin_psi
-        return cos_mag, sin_psi
-
-
-class _PerturbedLady:
-    """Equilibrium heading rotated by a fixed angle off the focal line.
-
-    On the line itself the exact reactive control is played so that the
-    arrival at the antipodal point stays well defined.
-    """
-
-    frame_fixed = False
-    snap_to_fl = True
-    is_equilibrium = False
-
-    def __init__(self, params: GameParams, delta_psi: float) -> None:
-        self.inner = _EquilibriumLady(params)
-        self.cos_d = math.cos(delta_psi)
-        self.sin_d = math.sin(delta_psi)
-
-    @property
-    def s(self):
-        return self.inner.s
-
-    @property
-    def phase(self):
-        return self.inner.phase
-
-    @property
-    def phase_flipped(self):
-        return self.inner.phase_flipped
-
-    @phase_flipped.setter
-    def phase_flipped(self, v):
-        self.inner.phase_flipped = v
-
-    def reset(self) -> None:
-        self.inner.reset()
-
-    def __call__(self, t, r, th, omega_now):
-        c, s = self.inner(t, r, th, omega_now)
-        if omega_now is not None:
-            return c, s
+            c, s = -1.0, 0.0
+        else:
+            s_entry = self._resolve_s(r, th)
+            a = s_entry * s_entry / mu
+            if self.case is focal.EntryCase.ONE and r <= a + _TANGENCY_SLACK:
+                self.case = focal.EntryCase.TWO
+                self.tangency_passed = True
+            s = min(1.0, s_entry * s_entry / (mu * max(r, a)))
+            c = math.sqrt(max(0.0, 1.0 - s * s))
+            if self.case is focal.EntryCase.ONE:
+                c = -c
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
 
-class _FixedLady:
-    frame_fixed = True
-    snap_to_fl = False
-    is_equilibrium = False
-    s = None
-    phase = None
-    phase_flipped = False
-
-    def __init__(self, heading: tuple[float, float]) -> None:
-        self.heading = heading
-
-    def reset(self) -> None:
-        pass
-
-    def __call__(self, t, r, th, omega_now):
-        return self.heading
-
-
-class _EquilibriumMan:
-    frame_fixed = False
-    is_equilibrium = True
-
-    def __init__(self, params: GameParams) -> None:
-        self.tol = params.tol_event
-
-    def __call__(self, t, r, th):
-        return 0.0 if th <= self.tol else 1.0
-
-
-class _ConstantMan:
-    frame_fixed = True
-    is_equilibrium = False
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def __call__(self, t, r, th):
-        return self.value
-
-
-class _SwitchingMan:
-    frame_fixed = True
-    is_equilibrium = False
-
-    def __init__(self, period: float) -> None:
-        self.period = period
-
-    def __call__(self, t, r, th):
-        return 1.0 if int(t / self.period) % 2 == 0 else -1.0
-
-
-def _make_lady(spec: StrategySpec, params: GameParams):
-    if spec.side != "lady":
-        raise DomainError("lady strategy required")
+def _man_rate(spec: StrategySpec, params: GameParams) -> Callable[[float, float, float], float]:
+    """M's angular rate as a function of (t, r, theta), one per man kind."""
     if spec.kind == "equilibrium":
-        return _EquilibriumLady(params)
-    if spec.kind == "perturbed_equilibrium":
-        return _PerturbedLady(params, spec.delta_psi)
-    return _FixedLady(spec.heading)
-
-
-def _make_man(spec: StrategySpec, params: GameParams):
-    if spec.side != "man":
-        raise DomainError("man strategy required")
-    if spec.kind == "equilibrium":
-        return _EquilibriumMan(params)
+        tol = params.tol_event
+        return lambda t, r, th: 0.0 if th <= tol else 1.0
     if spec.kind == "constant_omega":
-        return _ConstantMan(spec.value)
-    return _SwitchingMan(spec.period)
+        return lambda t, r, th: spec.value
+    return lambda t, r, th: 1.0 if int(t / spec.period) % 2 == 0 else -1.0
 
 
 def simulate(
@@ -354,10 +242,15 @@ def simulate(
         raise DomainError("params is required")
     if dt <= 0.0 or t_max <= 0.0:
         raise DomainError("dt and t_max must be positive")
+    if lady.side != "lady" or man.side != "man":
+        raise DomainError("a lady strategy and a man strategy are required")
     mu = params.mu
     tol = params.tol_event
-    lady_s = _make_lady(lady, params)
-    man_s = _make_man(man, params)
+    lady_s = _Lady(params, lady.delta_psi)
+    fixed_heading = lady.heading if lady.kind == "fixed_heading" else None
+    snap_to_fl = fixed_heading is None
+    man_rate = _man_rate(man, params)
+    man_eq = man.kind == "equilibrium"
 
     r, th, alpha = initial.r, initial.theta, 0.0
     sign = 1.0
@@ -366,16 +259,14 @@ def simulate(
 
     def eval_controls(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
         """Canonical (cos_psi, sin_psi, omega) at a trial state."""
-        om = man_s(tt, rr, thh)
-        if man_s.frame_fixed:
+        om = man_rate(tt, rr, thh)
+        if not man_eq:
             om *= sign
         om = min(1.0, max(-1.0, om))
-        if mode_fl:
-            c, s_ = lady_s(tt, rr, thh, om)
+        if fixed_heading is not None:
+            c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
-            c, s_ = lady_s(tt, rr, thh, None)
-        if lady_s.frame_fixed and sign < 0.0:
-            s_ = -s_
+            c, s_ = lady_s(rr, thh, om if mode_fl else None)
         return c, s_, om
 
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
@@ -409,26 +300,20 @@ def simulate(
         traj.sin_psi.append(true.sin_psi)
         traj.omega.append(true.omega)
 
-    t = 0.0
-    if abs(r - mu) <= tol and abs(th - _PI) <= tol:
-        record(t, r, th, alpha)
-        traj.outcome = "reached_e"
-        traj.events.append((0.0, "reached_e"))
-        traj.t_final = 0.0
-        return traj
-    if r >= 1.0 - tol:
-        record(t, r, th, alpha)
-        traj.outcome = "reached_shore"
-        traj.theta_f = th
-        traj.events.append((0.0, "shore_exit"))
-        traj.t_final = 0.0
-        return traj
+    def at_e(rr: float, thh: float) -> bool:
+        return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
 
+    t = 0.0
     record(t, r, th, alpha)
-    while t < t_max - 1e-12:
+    end = None
+    if at_e(r, th):
+        end = "reached_e"
+    elif r >= 1.0 - tol:
+        end = "shore_exit"
+    while end is None and t < t_max - 1e-12:
         h = min(dt, t_max - t)
         s_event = lady_s.s
-        phase_event = lady_s.phase
+        case_event = lady_s.case
         try:
             r1, th1, al1 = rk4(t, r, th, alpha, h)
         except LakeGameError:
@@ -448,14 +333,12 @@ def simulate(
                     return g(rr, thh)
 
                 lo_s, hi_s = 0.0, h
-                glo = g0
                 for _ in range(60):
                     if hi_s - lo_s <= tol:
                         break
                     mid = 0.5 * (lo_s + hi_s)
-                    gm = gg(mid)
-                    if gm > 0.0:
-                        lo_s, glo = mid, gm
+                    if gg(mid) > 0.0:
+                        lo_s = mid
                     else:
                         hi_s = mid
                 candidates.append((hi_s, kind))
@@ -467,22 +350,20 @@ def simulate(
             locate(lambda rr, thh: _PI - thh, "fl_cross")
             if (
                 s_event is not None
-                and phase_event is focal.Phase.POST_TANGENT
-                and lady_s.snap_to_fl
+                and case_event is focal.EntryCase.TWO
+                and snap_to_fl
             ):
                 locate(lambda rr, thh: s_event - rr, "fl_cross")
         else:
             locate(lambda rr, thh: (mu - rr) - E_ARRIVE, "reached_e")
         if r >= mu and r1 >= mu and not mode_fl:
-            b0 = classical.barrier_theta(min(r, 1.0), params)
-            b1 = classical.barrier_theta(min(r1, 1.0), params)
-            d0, d1 = th - b0, th1 - b1
-            if d0 != 0.0 and math.copysign(1.0, d0) != math.copysign(1.0, d1):
+            side = classical.barrier_side(min(r, 1.0), th, params)
+            if side is not classical.barrier_side(min(r1, 1.0), th1, params):
                 traj.events.append((t + 0.5 * h, "barrier_crossing"))
 
-        if lady_s.phase_flipped:
+        if lady_s.tangency_passed:
             traj.events.append((t + h, "tangency"))
-            lady_s.phase_flipped = False
+            lady_s.tangency_passed = False
 
         if not candidates:
             t += h
@@ -494,18 +375,10 @@ def simulate(
         re, te, ae = rk4(t, r, th, alpha, sigma)
         t += sigma
         te = min(max(te, 0.0), _PI)
-        if kind == "shore_exit":
-            r, th, alpha = min(re, 1.0), te, ae
+        if kind in ("shore_exit", "reached_e"):
+            r, th, alpha = min(re, 1.0) if kind == "shore_exit" else re, te, ae
             record(t, r, th, alpha)
-            traj.events.append((t, "shore_exit"))
-            traj.outcome = "reached_shore"
-            traj.theta_f = th
-            break
-        if kind == "reached_e":
-            r, th, alpha = re, te, ae
-            record(t, r, th, alpha)
-            traj.events.append((t, "reached_e"))
-            traj.outcome = "reached_e"
+            end = kind
             break
         if kind == "origin_passage":
             th_new = _PI - te
@@ -518,7 +391,7 @@ def simulate(
             record(t, r, th, alpha)
             continue
         if kind == "ul_cross":
-            if man_s.is_equilibrium and lady_s.snap_to_fl:
+            if man_eq and snap_to_fl:
                 r, th, alpha = re, 0.0, ae
                 traj.events.append((t, "ul_entry"))
             else:
@@ -528,7 +401,7 @@ def simulate(
             record(t, r, th, alpha)
             continue
         # fl_cross
-        if lady_s.snap_to_fl and re < mu + tol:
+        if snap_to_fl and re < mu + tol:
             r, th, alpha = min(re, mu), _PI, ae
             mode_fl = True
             lady_s.reset()
@@ -538,14 +411,15 @@ def simulate(
             sign = -sign
             traj.events.append((t, "reflection"))
         record(t, r, th, alpha)
-        if abs(r - mu) <= tol and abs(th - _PI) <= tol:
-            traj.events.append((t, "reached_e"))
-            traj.outcome = "reached_e"
-            break
+        if at_e(r, th):
+            end = "reached_e"
 
+    if end is not None:
+        traj.events.append((t, end))
+        traj.outcome = "reached_shore" if end == "shore_exit" else end
+        if end == "shore_exit":
+            traj.theta_f = th
     traj.t_final = t
-    if traj.outcome == "timeout" and traj.events and traj.events[-1][1] == "strategy_error":
-        pass
     return traj
 
 
@@ -572,26 +446,9 @@ def deviation_report(
     should not make feedback-L arrive later; both margins are reported so
     that a pass is margin >= -tolerance.
     """
-    eq = simulate(
-        initial,
-        StrategySpec.equilibrium("lady"),
-        StrategySpec.equilibrium("man"),
-        dt,
-        t_max,
-        params,
-    )
-    t_eq = eq.t_final
-    rows: list[DeviationRow] = []
-    for d in deltas:
-        run = simulate(
-            initial, StrategySpec.perturbed(d), StrategySpec.equilibrium("man"), dt, t_max, params
-        )
-        # A run that never reaches E certainly did not arrive early; score
-        # it at the horizon so the margin stays finite and JSON-safe.
-        t_eff = run.t_final if run.outcome == "reached_e" else t_max
-        rows.append(
-            DeviationRow("lady", f"delta_psi={d:+g}", run.t_final, t_eff - t_eq, run.outcome)
-        )
+    eq_lady, eq_man = StrategySpec.equilibrium("lady"), StrategySpec.equilibrium("man")
+    t_eq = simulate(initial, eq_lady, eq_man, dt, t_max, params).t_final
+    runs = [("lady", f"delta_psi={d:+g}", StrategySpec.perturbed(d), eq_man) for d in deltas]
     if man_deviations is None:
         man_deviations = (
             StrategySpec.constant_omega(0.8),
@@ -604,13 +461,16 @@ def deviation_report(
             if spec.kind == "switching_omega"
             else ""
         )
-        run = simulate(
-            initial, StrategySpec.equilibrium("lady"), spec, dt, t_max, params
-        )
+        runs.append(("man", label, eq_lady, spec))
+    rows: list[DeviationRow] = []
+    for side, label, lady, man in runs:
+        run = simulate(initial, lady, man, dt, t_max, params)
+        # A run that never reaches E is scored at the horizon so the margin
+        # stays finite and JSON-safe: such an L-deviation did not arrive
+        # early, and such an M-deviation fails the check.
         t_eff = run.t_final if run.outcome == "reached_e" else t_max
-        rows.append(
-            DeviationRow("man", label, run.t_final, t_eq - t_eff, run.outcome)
-        )
+        margin = t_eff - t_eq if side == "lady" else t_eq - t_eff
+        rows.append(DeviationRow(side, label, run.t_final, margin, run.outcome))
     return t_eq, rows
 
 
@@ -632,9 +492,16 @@ def integrate_classical_fan(
         s = mu / np.maximum(rr, mu)
         return mu * np.sqrt(np.clip(1.0 - s * s, 0.0, None)), s * s - 1.0
 
-    def d_scalar(rr):
-        s = mu / max(rr, mu)
-        return mu * math.sqrt(max(0.0, 1.0 - s * s)), s * s - 1.0
+    def rk4(rr, h):
+        """RK4 increments (dr, dtheta) over step h (a scalar or one per state)."""
+        k1r, k1t = d(rr)
+        k2r, k2t = d(rr + 0.5 * h * k1r)
+        k3r, k3t = d(rr + 0.5 * h * k2r)
+        k4r, k4t = d(rr + h * k3r)
+        return (
+            h / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r),
+            h / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t),
+        )
 
     n = r.shape[0]
     theta_f = np.full(n, np.nan)
@@ -646,44 +513,30 @@ def integrate_classical_fan(
         if not active.any():
             break
         ra, tha = r[active], th[active]
-        k1r, k1t = d(ra)
-        k2r, k2t = d(ra + 0.5 * dt * k1r)
-        k3r, k3t = d(ra + 0.5 * dt * k2r)
-        k4r, k4t = d(ra + dt * k3r)
-        rn = ra + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        thn = tha + dt / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
+        dr, dth = rk4(ra, dt)
+        rn = ra + dr
+        thn = tha + dth
         crossed = rn >= 1.0
         if crossed.any():
-            idx_local = np.nonzero(crossed)[0]
-            idx_global = np.nonzero(active)[0][idx_local]
-            for i_l, i_g in zip(idx_local, idx_global):
-                rr0, th0_ = float(ra[i_l]), float(tha[i_l])
-                lo, hi = 0.0, dt
-                for _ in range(60):
-                    if hi - lo <= params.tol_event:
-                        break
-                    mid = 0.5 * (lo + hi)
-                    k1 = d_scalar(rr0)
-                    k2 = d_scalar(rr0 + 0.5 * mid * k1[0])
-                    k3 = d_scalar(rr0 + 0.5 * mid * k2[0])
-                    k4 = d_scalar(rr0 + mid * k3[0])
-                    rmid = rr0 + mid / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                    if rmid < 1.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                sig = 0.5 * (lo + hi)
-                k1 = d_scalar(rr0)
-                k2r_, k2t_ = d_scalar(rr0 + 0.5 * sig * k1[0])
-                k3r_, k3t_ = d_scalar(rr0 + 0.5 * sig * k2r_)
-                k4r_, k4t_ = d_scalar(rr0 + sig * k3r_)
-                theta_f[i_g] = th0_ + sig / 6.0 * (k1[1] + 2 * k2t_ + 2 * k3t_ + k4t_)
-                t_f[i_g] = t + sig
-            keep = ~crossed
+            # Bisect every crossing step at once; all brackets start as
+            # [0, dt] and halve together.
+            r0c = ra[crossed]
+            lo, hi = np.zeros(r0c.shape), np.full(r0c.shape, dt)
+            for _ in range(60):
+                if np.max(hi - lo) <= params.tol_event:
+                    break
+                mid = 0.5 * (lo + hi)
+                inside = r0c + rk4(r0c, mid)[0] < 1.0
+                lo = np.where(inside, mid, lo)
+                hi = np.where(inside, hi, mid)
+            sig = 0.5 * (lo + hi)
             sub = np.nonzero(active)[0]
+            theta_f[sub[crossed]] = tha[crossed] + rk4(r0c, sig)[1]
+            t_f[sub[crossed]] = t + sig
+            keep = ~crossed
             r[sub[keep]] = rn[keep]
             th[sub[keep]] = thn[keep]
-            active[sub[~keep]] = False
+            active[sub[crossed]] = False
         else:
             r[active] = rn
             th[active] = thn

@@ -47,27 +47,49 @@ class StrategyAdvice:
     entry: focal.EntrySolution | None = None
 
 
-def classify(state: PolarState, params: GameParams) -> Region:
-    """Assign exactly one region label to a canonical state."""
-    tol = params.tol_event
+CLASSICAL_REGIONS = (Region.ABOVE_BARRIER, Region.ON_BARRIER, Region.SHORE)
+UNIVERSAL_REGIONS = (Region.UNIVERSAL_LINE, Region.UNIVERSAL_TRIBUTARY)
+
+
+def region_of(r: float, theta: float, params: GameParams) -> Region:
+    """Region label of the canonical state (r, theta).
+
+    The one home of the region dispatch: classify() wraps it, and the
+    simulator calls it at every RK4 stage, so it takes plain floats.
+    """
     mu = params.mu
-    if state.r >= 1.0 - tol:
+    if r >= 1.0 - params.tol_event:
         return Region.SHORE
-    if abs(state.r - mu) <= E_SNAP and abs(state.theta - math.pi) <= E_SNAP:
+    if abs(r - mu) <= E_SNAP and abs(theta - math.pi) <= E_SNAP:
         return Region.ANTIPODAL_POINT
-    if state.r >= mu:
-        side = classical.classify_vs_barrier(state, params)
+    if r >= mu:
+        side = classical.barrier_side(r, theta, params)
         if side is classical.BarrierSide.ON:
             return Region.ON_BARRIER
         if side is classical.BarrierSide.ABOVE:
             return Region.ABOVE_BARRIER
-    if abs(state.theta - math.pi) <= tol and state.r < mu:
+    return min_time_region(r, theta, params)
+
+
+def min_time_region(r: float, theta: float, params: GameParams) -> Region:
+    """Region of the min-time game at (r, theta), ignoring the barrier.
+
+    Below the cutoff eps_r theta means nothing, and the centre belongs to
+    the focal line: the value there is pi/2 from every direction.
+    """
+    tol = params.tol_event
+    if r < params.eps_r or (abs(theta - math.pi) <= tol and r <= params.mu):
         return Region.FOCAL_LINE
-    if state.theta <= tol:
+    if theta <= tol:
         return Region.UNIVERSAL_LINE
-    if state.theta <= state.r / mu:
+    if theta <= r / params.mu:
         return Region.UNIVERSAL_TRIBUTARY
     return Region.FOCAL_TRIBUTARY
+
+
+def classify(state: PolarState, params: GameParams) -> Region:
+    """Assign exactly one region label to a canonical state."""
+    return region_of(state.r, state.theta, params)
 
 
 def advise(
@@ -78,7 +100,7 @@ def advise(
     omega_now is required only on the focal line, where L's control
     reacts to M's instantaneous rate.
     """
-    region = classify(state, params)
+    region = region_of(state.r, state.theta, params)
     if region is Region.SHORE:
         # Game over for the classical payoff; the realized separation is theta.
         controls = classical.classical_heading(state, params)
@@ -87,20 +109,21 @@ def advise(
         controls = ControlPair(0.0, 1.0, 1.0)
         return StrategyAdvice(region, controls, 0.0, ValueKind.TIME_TO_E)
     if region in (Region.ABOVE_BARRIER, Region.ON_BARRIER):
-        sol = classical.solve_classical(state, params)
-        return StrategyAdvice(region, sol.heading, sol.value, ValueKind.TERMINAL_ANGLE)
+        controls = classical.classical_heading(state, params)
+        value = classical.classical_value(state, params)
+        return StrategyAdvice(region, controls, value, ValueKind.TERMINAL_ANGLE)
     if region is Region.FOCAL_LINE:
         if omega_now is None:
             raise RegionError("omega_now is required on the focal line")
-        controls = focal.fl_control(state, omega_now, params)
+        # theta = pi also stands for the centre, where theta is undefined.
+        controls = focal.fl_control(PolarState(state.r, math.pi), omega_now, params)
         value = focal.time_on_focal_line(state.r, params)
         return StrategyAdvice(region, controls, value, ValueKind.TIME_TO_E)
-    if region is Region.UNIVERSAL_LINE:
-        controls = universal.ul_control(state, params)
-        value = 0.5 * math.pi + state.r / params.mu
-        return StrategyAdvice(region, controls, value, ValueKind.TIME_TO_E)
-    if region is Region.UNIVERSAL_TRIBUTARY:
-        controls = universal.ul_tributary_heading(state, params)
+    if region in UNIVERSAL_REGIONS:
+        if region is Region.UNIVERSAL_LINE:
+            controls = universal.ul_control(state, params)
+        else:
+            controls = universal.ul_tributary_heading(state, params)
         value = universal.time_to_antipode(state, params)
         return StrategyAdvice(region, controls, value, ValueKind.TIME_TO_E)
     entry = focal.solve_entry(state, params)

@@ -81,39 +81,41 @@ def costate_universal(params: GameParams) -> Costate:
     return Costate(1.0 / params.mu, 0.0, 0.0, GameTag.MIN_TIME_UL)
 
 
-def hamiltonian_classical(
+def _costate_times_dynamics(
     state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
 ) -> float:
-    if costate.game_tag is not GameTag.CLASSICAL:
-        raise DomainError(f"classical Hamiltonian needs a Classical costate, got {costate.game_tag}")
     mu = params.mu
     return costate.lambda_r * mu * controls.cos_psi + costate.lambda_theta * (
         mu / state.r * controls.sin_psi - controls.omega
     )
 
 
+def hamiltonian_classical(
+    state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
+) -> float:
+    if costate.game_tag is not GameTag.CLASSICAL:
+        raise DomainError(f"classical Hamiltonian needs a Classical costate, got {costate.game_tag}")
+    return _costate_times_dynamics(state, costate, controls, params)
+
+
 def hamiltonian_min_time(
     state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
 ) -> float:
+    """The classical form plus the unit running cost of the min-time game."""
     if costate.game_tag is GameTag.CLASSICAL:
         raise DomainError("min-time Hamiltonian needs a min-time costate")
-    mu = params.mu
-    return (
-        costate.lambda_r * mu * controls.cos_psi
-        + costate.lambda_theta * (mu / state.r * controls.sin_psi - controls.omega)
-        + 1.0
-    )
+    return _costate_times_dynamics(state, costate, controls, params) + 1.0
 
 
 def min_time_value(r: float, theta: float, params: GameParams) -> float:
     """Scalar time-to-antipodal-point value on the below-barrier region."""
-    mu = params.mu
-    if theta <= r / mu:
-        return 0.5 * _PI + r / mu
-    if abs(theta - _PI) <= params.tol_event and r <= mu:
-        return 0.5 * _PI - math.asin(min(1.0, r / mu))
-    entry = focal.solve_entry(PolarState(r, min(theta, _PI)), params)
-    return entry.total_time
+    region = solution.min_time_region(r, theta, params)
+    if region is solution.Region.FOCAL_LINE:
+        return focal.time_on_focal_line(r, params)
+    state = PolarState(r, min(theta, _PI))
+    if region in solution.UNIVERSAL_REGIONS:
+        return universal.time_to_antipode(state, params)
+    return focal.solve_entry(state, params).total_time
 
 
 def hji_sweep(
@@ -192,7 +194,6 @@ def trajectory_hamiltonians(
     the costate family is chosen per sample from the state's region, with
     the tributary phase read off the sign of the recorded radial control.
     """
-    mu = params.mu
     out = []
     next_t = 0.0
     for k in range(len(traj.t)):
@@ -208,13 +209,17 @@ def trajectory_hamiltonians(
             min(1.0, max(-1.0, sign * traj.omega[k])),
         )
         state = PolarState(min(r, 1.0), min(theta, _PI))
-        if r >= mu and classical.classify_vs_barrier(state, params) is not classical.BarrierSide.BELOW:
+        region = solution.region_of(state.r, state.theta, params)
+        if region in solution.CLASSICAL_REGIONS:
             co = costate_classical(state, params)
             out.append((t, hamiltonian_classical(state, co, controls, params)))
             continue
-        if abs(theta - _PI) <= params.tol_event and r < mu - params.tol_event:
+        if region is solution.Region.ANTIPODAL_POINT:
+            # The terminal point carries the costate of the arc it ends.
+            region = solution.min_time_region(state.r, state.theta, params)
+        if region is solution.Region.FOCAL_LINE:
             co = costate_on_focal_line(r, params)
-        elif theta <= r / mu:
+        elif region in solution.UNIVERSAL_REGIONS:
             co = costate_universal(params)
         else:
             entry = focal.solve_entry(state, params)

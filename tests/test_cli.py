@@ -50,6 +50,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["region"] == "UniversalTributary"
 
+    def test_origin_exit_0(self, capsys):
+        code, out, _ = run(capsys, "solve", "--mu", "0.3", "--r", "0", "--theta", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["region"] == "FocalLine"
+        assert doc["value"] == pytest.approx(math.pi / 2)
+
     def test_bad_mu_exit_2(self, capsys):
         code, _, err = run(
             capsys, "solve", "--mu", "1.3", "--r", "0.5", "--theta", "1.0"

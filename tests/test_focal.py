@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from ladylake import focal
+from ladylake import classical, focal
 from ladylake.model import DomainError, GameParams, PolarState, RegionError
+from ladylake.solution import Region, classify
 
 MU = 0.3
 
@@ -267,3 +268,40 @@ class TestNonCrossing:
                 if smp.r >= 1.0 or smp.theta <= 0.0:
                     break
                 assert smp.theta >= smp.r / MU - 1e-9
+
+
+class TestEntryMismatchMonotone:
+    """The sign pattern that makes each entry case's root unique.
+
+    The derivative proof is in solve_entry's docstring; these checks hold
+    it to the implementation over the whole mu range.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.floats(0.01, 0.99),
+        u=st.floats(1e-3, 1.0),
+        v=st.floats(0.01, 0.99),
+    )
+    def test_case_sign_pattern(self, mu, u, v):
+        params = GameParams(mu)
+        r = u * min(0.99, 2.5 * mu)
+        theta_hi = math.pi if r < mu else classical.barrier_theta(r, params)
+        assume(r / mu < theta_hi)
+        state = PolarState(r, r / mu + v * (theta_hi - r / mu))
+        assume(classify(state, params) is Region.FOCAL_TRIBUTARY)
+        one, two = focal.EntryCase.ONE, focal.EntryCase.TWO
+        s_hi = min(mu, math.sqrt(mu * r))
+
+        d1 = [focal.entry_delta(state, s, one, params) for s in np.linspace(0.0, s_hi, 64)]
+        assert np.all(np.diff(d1) > 0.0)
+        assert d1[0] == pytest.approx(r / mu - state.theta, abs=1e-12)
+        if r < s_hi:
+            d2 = [focal.entry_delta(state, s, two, params) for s in np.linspace(r, s_hi, 64)]
+            assert np.all(np.diff(d2) <= 1e-12)
+            assert d2[0] == pytest.approx(math.pi - state.theta, abs=1e-9)
+            # The tangent leg vanishes at s_hi = sqrt(mu r); rounding leaves
+            # a square root of an ulp in it, hence the loose tolerance.
+            assert d1[-1] == pytest.approx(d2[-1], abs=1e-6)
+        entry = focal.solve_entry(state, params)
+        assert (entry.case is one) == (d1[-1] >= 0.0)

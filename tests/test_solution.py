@@ -1,13 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ladylake import classical, focal, solution
 from ladylake.model import GameParams, PolarState, RegionError
 from ladylake.solution import Region, ValueKind, advise, classify, value_grid
 
 MU = 0.3
+# Speed ratios over the whole range, plus a dense band around the
+# critical ratio where the escape angle changes sign.
+MU_SWEEP = st.one_of(
+    st.floats(0.01, 0.99),
+    st.floats(classical.critical_mu() - 1e-3, classical.critical_mu() + 1e-3),
+)
 
 
 @pytest.fixture
@@ -146,3 +152,44 @@ class TestFocalTributaryConsistency:
             range(len(traj.t)), key=lambda k: abs(traj.t[k] - entries[0])
         )
         assert traj.r[i] == pytest.approx(adv.entry.s, abs=1e-4)
+
+
+class TestOrigin:
+    # theta means nothing at the centre: every direction is the focal line.
+    @pytest.mark.parametrize("eps_fraction", [0.0, 0.5])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
+    def test_centre_is_on_focal_line(self, params, eps_fraction, theta):
+        r = eps_fraction * params.eps_r
+        state = PolarState(r, theta)
+        assert classify(state, params) is Region.FOCAL_LINE
+        adv = advise(state, params, omega_now=1.0)
+        assert adv.region is Region.FOCAL_LINE
+        assert adv.value_kind is ValueKind.TIME_TO_E
+        assert adv.value == pytest.approx(math.pi / 2, abs=1e-8)
+        assert adv.controls == focal.fl_control(PolarState(r, math.pi), 1.0, params)
+
+
+class TestMuSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=MU_SWEEP,
+        r=st.floats(0.0, 1.0, exclude_max=True),
+        theta=st.floats(0.0, math.pi),
+    )
+    def test_advise_never_raises(self, mu, r, theta):
+        adv = advise(PolarState(r, theta), GameParams(mu), omega_now=1.0)
+        assert math.isfinite(adv.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=MU_SWEEP, u=st.floats(0.0, 1.0))
+    def test_value_continuous_across_partition(self, mu, u):
+        params = GameParams(mu)
+        h = 1e-7
+        r = u * min(1.0, mu * math.pi)
+        theta = r / mu
+        assume(h < theta < math.pi - h)
+        below = advise(PolarState(r, theta - h), params, omega_now=1.0)
+        above = advise(PolarState(r, theta + h), params, omega_now=1.0)
+        # Where the barrier cuts the partition the payoffs differ in kind.
+        assume(below.value_kind is above.value_kind is ValueKind.TIME_TO_E)
+        assert above.value == pytest.approx(below.value, abs=1e-6)
