@@ -30,12 +30,6 @@ class ClassicalSolution:
     omega: float = 1.0
 
 
-@dataclass(frozen=True)
-class BarrierPoint:
-    r: float
-    theta: float
-
-
 def classical_heading(state: PolarState, params: GameParams) -> ControlPair:
     """Equilibrium heading for L: away from the tangent to the mu-circle.
 

@@ -42,19 +42,14 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class EntrySolution:
-    """Entry radius s with both agents' times of arrival.
-
-    total_time adds the time spent on the focal line itself; all_roots
-    keeps every bracketed root of the arrival-time mismatch for
-    diagnostics (the equilibrium takes the smallest).
-    """
+    """Entry radius s with both agents' times of arrival; total_time adds
+    the time spent on the focal line itself."""
 
     s: float
     case: EntryCase
     t_lady: float
     t_man: float
     total_time: float
-    all_roots: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -182,6 +177,48 @@ def entry_delta(
     return t_lady - t_man
 
 
+def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | None = None,
+               hint: float | None = None) -> tuple[float, EntryCase] | None:
+    """Entry radius and case through (r, theta) by the proof in solve_entry:
+    None if the given case has no root in its bracket, NoRootError if no case
+    is given and neither has one.  Safeguarded Newton steps start from hint."""
+    mu = params.mu
+    s_hi = min(mu, math.sqrt(mu * r))
+
+    def delta(s: float, c: EntryCase) -> float:
+        t_lady, t_man = _times(r, theta, s, c, mu)
+        return t_lady - t_man
+
+    pick = case is None
+    if pick:
+        case = EntryCase.ONE if delta(s_hi, EntryCase.ONE) >= 0.0 else EntryCase.TWO
+    up = 1.0 if case is EntryCase.ONE else -1.0  # the sign of dDelta/ds
+    a, b = (0.0 if up > 0.0 else r), s_hi
+    # Delta(a) from the proof: rounding in _times can flip its sign at 0.
+    fa, fb = (r / mu if up > 0.0 else math.pi) - theta, delta(b, case)
+    if not a < b or up * fa > 0.0 or up * fb < 0.0:
+        if pick:
+            raise NoRootError(f"no focal-line entry radius for state (r={r}, theta={theta})")
+        return None
+    if fa == 0.0 or fb == 0.0:
+        return (a if fa == 0.0 else b), case
+    s = 0.5 * (a + b) if hint is None else min(max(hint, a), b)
+    for _ in range(100):
+        f = delta(s, case)
+        if f == 0.0:
+            break
+        a, b = (s, b) if up * f < 0.0 else (a, s)
+        a2 = s**4 / (mu * mu)
+        leg_r, leg_s = math.sqrt(max(0.0, r * r - a2)), math.sqrt(max(0.0, s * s - a2))
+        # leg_r dDelta/ds = g (leg_r +- leg_s); at s_hi leg_r = 0, so the bracket halves.
+        slope = (2.0 / mu) * math.sqrt(max(0.0, 1.0 - s * s / (mu * mu))) * (leg_r + up * leg_s)
+        step = s - f * leg_r / slope if slope != 0.0 else s
+        last, s = s, step if a < step < b else 0.5 * (a + b)
+        if abs(s - last) <= params.tol_root:
+            break
+    return s, case
+
+
 def _delta_grid(r: float, theta: float, grid: np.ndarray, case: EntryCase, mu: float) -> np.ndarray:
     s = grid
     a2 = s**4 / (mu * mu)
@@ -259,7 +296,6 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
     if roots1:
         s = min(roots1)
         case = EntryCase.ONE
-        all_roots = tuple(sorted(roots1))
     else:
         lo2 = r
         hi2 = min(mu, math.sqrt(mu * r))
@@ -270,7 +306,6 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
             )
         s = min(roots2)
         case = EntryCase.TWO
-        all_roots = tuple(sorted(roots2))
     t_lady, t_man = _times(r, theta, s, case, mu)
     total = time_on_focal_line(s, params) + t_lady
-    return EntrySolution(s, case, t_lady, t_man, total, all_roots)
+    return EntrySolution(s, case, t_lady, t_man, total)

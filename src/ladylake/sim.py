@@ -24,7 +24,6 @@ from .model import (
     RegionError,
     reflect_controls,
 )
-from .rootfind import bisect
 
 _PI = math.pi
 
@@ -71,6 +70,8 @@ class StrategySpec:
             c, s = self.heading
             if abs(c * c + s * s - 1.0) > 1e-9:
                 raise DomainError("fixed heading must be a unit vector")
+            n = math.hypot(c, s)  # stored normalised, so no later unit check refuses it
+            object.__setattr__(self, "heading", (c / n, s / n))
 
     @staticmethod
     def equilibrium(side: str) -> "StrategySpec":
@@ -125,14 +126,14 @@ class Trajectory:
 
 
 class _Lady:
-    """State-feedback equilibrium heading with a warm-started entry solve,
-    rotated by delta_psi off the focal line (0 for equilibrium play).
+    """State-feedback equilibrium heading, rotated by delta_psi off the
+    focal line (0 for equilibrium play).
 
-    The focal-line entry radius is a constant of the equilibrium motion,
-    so between steps it is refined locally around the previous value and
-    a full grid scan is only a fallback.  On the focal line itself the
-    exact reactive control is played, so that the arrival at the
-    antipodal point stays well defined.
+    On a focal tributary, focal.entry_root refines the last entry radius.
+    The case of the path ahead (One until the closest approach, Two after
+    it) is kept, as one re-picked from the state chatters on the tangency
+    circle, and so is the radius where that case has no root.  On the focal
+    line the exact reactive control keeps the arrival at E well defined.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -140,49 +141,12 @@ class _Lady:
         self.cos_d = math.cos(delta_psi)
         self.sin_d = math.sin(delta_psi)
         self.s: float | None = None
-        # Case of the path still ahead: One until the closest approach to
-        # the centre, Two after it.
         self.case: focal.EntryCase | None = None
         self.tangency_passed = False
 
     def reset(self) -> None:
         self.s = None
         self.case = None
-
-    def _resolve_s(self, r: float, th: float) -> float:
-        if self.s is None:
-            entry = focal.solve_entry(PolarState(min(r, 1.0), min(th, _PI)), self.params)
-            self.s, self.case = entry.s, entry.case
-            return self.s
-        # The entry radius is a constant of the equilibrium motion, so a
-        # failed local refinement (possible right at the tangency circle,
-        # where the cached value sits on the domain edge) keeps the cache
-        # rather than rescanning, which would flip the case spuriously.
-        mu = self.params.mu
-        case = self.case
-        hi = min(mu, math.sqrt(mu * r))
-        lo = r if case is focal.EntryCase.TWO else 0.0
-        if hi <= lo:
-            return self.s
-
-        def f(s: float) -> float:
-            t_lady, t_man = focal._times(r, th, s, case, mu)
-            return t_lady - t_man
-
-        s0 = min(max(self.s, lo), hi)
-        w = 1e-6
-        while True:
-            a, b = max(lo, s0 - w), min(hi, s0 + w)
-            try:
-                fa, fb = f(a), f(b)
-            except DomainError:
-                return self.s
-            if fa == 0.0 or fb == 0.0 or math.copysign(1.0, fa) != math.copysign(1.0, fb):
-                self.s = float(bisect(f, a, b, self.params.tol_root, fa=fa, fb=fb))
-                return self.s
-            if a <= lo and b >= hi:
-                return self.s
-            w *= 8.0
 
     def __call__(
         self, r: float, th: float, omega_now: float | None
@@ -202,12 +166,13 @@ class _Lady:
             self.reset()
             c, s = -1.0, 0.0
         else:
-            s_entry = self._resolve_s(r, th)
-            a = s_entry * s_entry / mu
+            found = focal.entry_root(r, th, self.params, self.case, self.s)
+            self.s, self.case = found or (self.s, self.case)
+            a = self.s * self.s / mu
             if self.case is focal.EntryCase.ONE and r <= a + _TANGENCY_SLACK:
                 self.case = focal.EntryCase.TWO
                 self.tangency_passed = True
-            s = min(1.0, s_entry * s_entry / (mu * max(r, a)))
+            s = min(1.0, self.s * self.s / (mu * max(r, a)))
             c = math.sqrt(max(0.0, 1.0 - s * s))
             if self.case is focal.EntryCase.ONE:
                 c = -c

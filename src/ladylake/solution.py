@@ -32,9 +32,9 @@ class ValueKind(str, enum.Enum):
     TERMINAL_ANGLE = "TerminalAngle"
 
 
-# Snap radius for the antipodal point, looser than tol_event so that
-# states specified with fewer printed digits of pi still classify as the
-# terminal point; the value is continuous to within ~2e-3 over this band.
+# Snap radius for the antipodal point, looser than tol_event for states given
+# with fewer printed digits of pi.  The value jumps at its edge: at mu = r = 0.3
+# it is 0 at theta = pi - 0.99e-6 and 0.0328 at theta = pi - 1.01e-6.
 E_SNAP = 1e-6
 
 

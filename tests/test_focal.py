@@ -305,3 +305,31 @@ class TestEntryMismatchMonotone:
             assert d1[-1] == pytest.approx(d2[-1], abs=1e-6)
         entry = focal.solve_entry(state, params)
         assert (entry.case is one) == (d1[-1] >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.floats(0.01, 0.99),
+        u=st.floats(1e-3, 1.0),
+        v=st.floats(0.01, 0.99),
+        w=st.floats(0.0, 1.0),
+    )
+    def test_entry_root_matches_scan(self, mu, u, v, w):
+        # The states of test_case_sign_pattern; solve_entry's scan is the reference.
+        params = GameParams(mu)
+        r = u * min(0.99, 2.5 * mu)
+        theta_hi = math.pi if r < mu else classical.barrier_theta(r, params)
+        assume(r / mu < theta_hi)
+        state = PolarState(r, r / mu + v * (theta_hi - r / mu))
+        assume(classify(state, params) is Region.FOCAL_TRIBUTARY)
+        entry = focal.solve_entry(state, params)
+        s, case = focal.entry_root(state.r, state.theta, params)
+        assert case is entry.case
+        assert s == pytest.approx(entry.s, abs=1e-10)
+        lo = 0.0 if case is focal.EntryCase.ONE else state.r
+        s_hi = min(mu, math.sqrt(mu * state.r))
+        for hint in (lo, s_hi, lo + w * (s_hi - lo)):
+            s_h, case_h = focal.entry_root(state.r, state.theta, params, case, hint)
+            assert case_h is case
+            assert s_h == pytest.approx(entry.s, abs=1e-10)
+        other = focal.EntryCase.TWO if case is focal.EntryCase.ONE else focal.EntryCase.ONE
+        assert focal.entry_root(state.r, state.theta, params, other) is None

@@ -203,6 +203,36 @@ class TestNonEquilibriumLady:
         assert traj.outcome == "reached_shore"
         assert traj.t_final == pytest.approx(0.5 / MU, abs=1e-3)
 
+    def test_fixed_heading_off_unit_by_1e10_runs(self, params):
+        # Within StrategySpec's 1e-9 unit check but over the recorded
+        # ControlPair's 1e-12: the spec stores the heading normalised.
+        lady = sim.StrategySpec.fixed_heading(0.6, 0.8000000001)
+        assert math.hypot(*lady.heading) == pytest.approx(1.0, abs=1e-15)
+        traj = sim.simulate(
+            PolarState(0.5, 2.0),
+            lady,
+            sim.StrategySpec.constant_omega(0.0),
+            dt=1e-3,
+            t_max=20.0,
+            params=params,
+        )
+        assert traj.outcome == "reached_shore"
+
+    def test_perturbed_lady_keeps_case_past_tangency(self, params):
+        # The lady keeps case Two after the tangency flip; one that re-picks
+        # the case from the state chatters on the tangency circle and times
+        # out, which deviation_report would score as a passing margin.
+        traj = sim.simulate(
+            PolarState(0.2, 1.0),
+            sim.StrategySpec.perturbed(-0.05),
+            sim.StrategySpec.equilibrium("man"),
+            dt=1e-3,
+            t_max=20.0,
+            params=params,
+        )
+        assert traj.outcome == "reached_e"
+        assert "fl_entry" in [k for _, k in traj.events]
+
     def test_reflection_off_universal_line(self, params):
         # A non-snapping lady crossing theta = 0 mirrors the frame.
         traj = sim.simulate(
