@@ -39,10 +39,13 @@ def classical_heading(state: PolarState, params: GameParams) -> ControlPair:
     mu = params.mu
     if state.r < mu - 1e-15:
         raise RegionError(f"classical heading undefined for r = {state.r} < mu = {mu}")
-    r = max(state.r, mu)
+    return ControlPair(*classical_heading_at(max(state.r, mu), mu), 1.0)
+
+
+def classical_heading_at(r: float, mu: float) -> tuple[float, float]:
+    """(cos_psi, sin_psi) of classical_heading on floats, unchecked: sin_psi = mu/r."""
     sin_psi = mu / r
-    cos_psi = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
-    return ControlPair(cos_psi, sin_psi, 1.0)
+    return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
 
 
 def classical_value(state: PolarState, params: GameParams) -> float:
@@ -61,15 +64,13 @@ def escape_angle(params: GameParams) -> float:
     return math.pi - classical_drift(1.0, params.mu)
 
 
-def critical_mu(params: GameParams | None = None) -> float:
+def critical_mu() -> float:
     """Speed ratio at which the guaranteed escape angle vanishes.
 
     Found by bracketing plus bisection; the game literature's five printed
     digits (about 0.21723) serve only as a cross-check.
     """
-    tol = params.tol_root if params is not None else 1e-12
-
-    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, tol)
+    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, 1e-12)
 
 
 def _barrier_radius(r: float, mu: float) -> float:

@@ -280,6 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = GameParams(args.mu)
     mu = params.mu
+    tol, tol_barrier = 1e-3, 1e-10  # the HJI and saddle threshold, then the barrier's
     hji = verify.hji_sweep(params, args.grid, args.grid)
     barrier = verify.barrier_sweep(params, 1000)
     starts = [
@@ -307,22 +308,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ],
         }
         saddle.append(entry)
-        saddle_pass &= all(row.margin >= -1e-3 for row in rows)
+        saddle_pass &= all(row.margin >= -tol for row in rows)
     report = {
         "mu": mu,
         "hji": {
             "max_abs_residual": hji.max_abs_residual,
             "worst_state": list(hji.worst_state) if hji.worst_state else None,
             "n_samples": hji.n_samples,
-            "threshold": 1e-3,
-            "pass": hji.max_abs_residual < 1e-3,
+            "threshold": tol,
+            "pass": hji.max_abs_residual < tol,
         },
         "barrier": {
             "max_abs_residual": barrier,
-            "threshold": 1e-10,
-            "pass": barrier < 1e-10,
+            "threshold": tol_barrier,
+            "pass": barrier < tol_barrier,
         },
-        "saddle": {"starts": saddle, "threshold": 1e-3, "pass": saddle_pass},
+        "saddle": {"starts": saddle, "threshold": tol, "pass": saddle_pass},
     }
     report["pass"] = (
         report["hji"]["pass"] and report["barrier"]["pass"] and saddle_pass

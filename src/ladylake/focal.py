@@ -27,17 +27,19 @@ SCAN_POINTS = 4096
 
 
 class EntryCase(enum.Enum):
-    """Whether L's path first dips toward the center (One) or not (Two)."""
+    """Whether L's path first dips toward the center (One) or not (Two).
+
+    It is also the phase of a tributary, which dips until it touches the
+    closest-approach circle r = s^2/mu and runs outward after it.
+    """
 
     ONE = "One"
     TWO = "Two"
+    PRE_TANGENT = "One"
+    POST_TANGENT = "Two"
 
 
-class Phase(enum.Enum):
-    """Which side of the closest-approach circle r = s^2/mu L is on."""
-
-    PRE_TANGENT = "PreTangent"
-    POST_TANGENT = "PostTangent"
+Phase = EntryCase
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,14 @@ def fl_control(state: PolarState, omega_now: float, params: GameParams) -> Contr
         raise DomainError(f"focal line requires r <= mu, got r = {state.r}")
     if abs(omega_now) > 1.0 + 1e-12:
         raise DomainError(f"|omega_now| must be <= 1, got {omega_now}")
-    sin_psi = omega_now * min(state.r, mu) / mu
-    cos_psi = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
-    return ControlPair(cos_psi, sin_psi, omega_now)
+    return ControlPair(*fl_heading_at(min(state.r, mu), omega_now, mu), omega_now)
+
+
+def fl_heading_at(r: float, omega: float, mu: float) -> tuple[float, float]:
+    """(cos_psi, sin_psi) of fl_control on floats, unchecked: sin_psi =
+    omega r/mu, clipped to [-1, 1]."""
+    sin_psi = min(1.0, max(-1.0, omega * r / mu))
+    return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
 
 
 def time_on_focal_line(s: float, params: GameParams) -> float:
@@ -100,7 +107,7 @@ def tangency_time(s: float, params: GameParams) -> float:
 
 
 def tributary_heading(
-    state: PolarState, s: float, phase: Phase, params: GameParams
+    state: PolarState, s: float, phase: EntryCase, params: GameParams
 ) -> ControlPair:
     """Equilibrium heading along a tributary with entry radius s.
 
@@ -114,10 +121,14 @@ def tributary_heading(
         raise DomainError(
             f"r = {state.r} is under the closest-approach circle {s * s / mu}"
         )
-    sin_psi = min(1.0, s * s / (mu * state.r))
-    cos_mag = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
-    cos_psi = -cos_mag if phase is Phase.PRE_TANGENT else cos_mag
-    return ControlPair(cos_psi, sin_psi, 1.0)
+    return ControlPair(*tributary_heading_at(state.r, s, phase, mu), 1.0)
+
+
+def tributary_heading_at(r: float, s: float, phase: EntryCase, mu: float) -> tuple[float, float]:
+    """(cos_psi, sin_psi) of tributary_heading on floats, unchecked."""
+    sin_psi = min(1.0, s * s / (mu * r))
+    cos_psi = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
+    return (-cos_psi if phase is EntryCase.ONE else cos_psi), sin_psi
 
 
 def flowfield_sample(s: float, tau: float, params: GameParams) -> FlowfieldSample:
@@ -138,7 +149,9 @@ def flowfield_sample(s: float, tau: float, params: GameParams) -> FlowfieldSampl
     return FlowfieldSample(tau, r, theta, s)
 
 
-def _times(r: float, theta: float, s: float, case: EntryCase, mu: float) -> tuple[float, float]:
+def _legs(r: float, s: float, mu: float) -> tuple[float, float, float, float]:
+    """Tangent legs from r and from s to the closest-approach circle, then
+    the arc angles acos(s^2/(mu r)) and acos(s/mu)."""
     a2 = s**4 / (mu * mu)  # squared closest-approach radius
     under_r = r * r - a2
     under_s = s * s - a2
@@ -146,17 +159,26 @@ def _times(r: float, theta: float, s: float, case: EntryCase, mu: float) -> tupl
         raise DomainError(
             f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu"
         )
-    leg_r = math.sqrt(max(0.0, under_r))
-    leg_s = math.sqrt(max(0.0, under_s))
-    ang_r = math.acos(min(1.0, max(-1.0, s * s / (mu * r))))
-    ang_s = math.acos(min(1.0, max(-1.0, s / mu)))
+    return (
+        math.sqrt(max(0.0, under_r)),
+        math.sqrt(max(0.0, under_s)),
+        math.acos(min(1.0, max(-1.0, s * s / (mu * r)))),
+        math.acos(min(1.0, max(-1.0, s / mu))),
+    )
+
+
+def _times(legs, theta, case: EntryCase, mu: float):
+    """(t_lady, t_man) from the legs and angles of _legs, floats or numpy arrays."""
+    leg_r, leg_s, ang_r, ang_s = legs
     if case is EntryCase.ONE:
-        t_lady = (leg_r + leg_s) / mu
-        t_man = theta + ang_r + ang_s - math.pi
-    else:
-        t_lady = (leg_s - leg_r) / mu
-        t_man = theta - ang_r + ang_s - math.pi
-    return t_lady, t_man
+        return (leg_r + leg_s) / mu, theta + ang_r + ang_s - math.pi
+    return (leg_s - leg_r) / mu, theta - ang_r + ang_s - math.pi
+
+
+def _delta(times):
+    """Arrival-time mismatch of a (t_lady, t_man) pair; its roots are entry radii."""
+    t_lady, t_man = times
+    return t_lady - t_man
 
 
 def arrival_times(
@@ -166,28 +188,27 @@ def arrival_times(
     aligned entry configuration (s, pi)."""
     if case is EntryCase.TWO and s < state.r - 1e-12:
         raise DomainError(f"case Two requires s >= r, got s = {s}, r = {state.r}")
-    return _times(state.r, state.theta, s, case, params.mu)
+    return _times(_legs(state.r, s, params.mu), state.theta, case, params.mu)
 
 
 def entry_delta(
     state: PolarState, s: float, case: EntryCase, params: GameParams
 ) -> float:
-    """Arrival-time mismatch t_lady - t_man; its roots are entry candidates."""
-    t_lady, t_man = arrival_times(state, s, case, params)
-    return t_lady - t_man
+    """Arrival-time mismatch of L over M; its roots are entry candidates."""
+    return _delta(arrival_times(state, s, case, params))
 
 
 def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | None = None,
                hint: float | None = None) -> tuple[float, EntryCase] | None:
     """Entry radius and case through (r, theta) by the proof in solve_entry:
     None if the given case has no root in its bracket, NoRootError if no case
-    is given and neither has one.  Safeguarded Newton steps start from hint."""
+    is given and neither has one.  Safeguarded Newton steps start from hint and
+    stop once Delta changes sign within tol_root of the returned radius."""
     mu = params.mu
     s_hi = min(mu, math.sqrt(mu * r))
 
     def delta(s: float, c: EntryCase) -> float:
-        t_lady, t_man = _times(r, theta, s, c, mu)
-        return t_lady - t_man
+        return _delta(_times(_legs(r, s, mu), theta, c, mu))
 
     pick = case is None
     if pick:
@@ -203,39 +224,40 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     if fa == 0.0 or fb == 0.0:
         return (a if fa == 0.0 else b), case
     s = 0.5 * (a + b) if hint is None else min(max(hint, a), b)
+    cand = None  # the end of a short step, returned once Delta changes sign past it
     for _ in range(100):
-        f = delta(s, case)
+        leg_r, leg_s, _, _ = legs = _legs(r, s, mu)
+        f = _delta(_times(legs, theta, case, mu))
+        if cand is not None and (up * f >= 0.0) == (s > cand):
+            return cand, case
         if f == 0.0:
-            break
+            return s, case
         a, b = (s, b) if up * f < 0.0 else (a, s)
-        a2 = s**4 / (mu * mu)
-        leg_r, leg_s = math.sqrt(max(0.0, r * r - a2)), math.sqrt(max(0.0, s * s - a2))
         # leg_r dDelta/ds = g (leg_r +- leg_s); at s_hi leg_r = 0, so the bracket halves.
         slope = (2.0 / mu) * math.sqrt(max(0.0, 1.0 - s * s / (mu * mu))) * (leg_r + up * leg_s)
         step = s - f * leg_r / slope if slope != 0.0 else s
-        last, s = s, step if a < step < b else 0.5 * (a + b)
+        last, s, cand = s, step if a < step < b else 0.5 * (a + b), None
         if abs(s - last) <= params.tol_root:
-            break
+            # A short step proves nothing near s_hi, where the slope is infinite,
+            # so probe tol_root past it; without a sign change go on from there.
+            cand, s = s, s + math.copysign(params.tol_root, s - last)
+            if not a < s < b:
+                return cand, case
     return s, case
 
 
-def _delta_grid(r: float, theta: float, grid: np.ndarray, case: EntryCase, mu: float) -> np.ndarray:
-    s = grid
+def _delta_grid(r: float, theta: float, s: np.ndarray, case: EntryCase, mu: float) -> np.ndarray:
+    """The mismatch over a grid of entry radii, with the legs and angles of
+    _legs taken in numpy; NaN where r < s^2/mu."""
     a2 = s**4 / (mu * mu)
     under_r = r * r - a2
-    under_s = s * s - a2
-    with np.errstate(invalid="ignore"):
-        leg_r = np.sqrt(np.clip(under_r, 0.0, None))
-        leg_s = np.sqrt(np.clip(under_s, 0.0, None))
-        ang_r = np.arccos(np.clip(s * s / (mu * r), -1.0, 1.0))
-        ang_s = np.arccos(np.clip(s / mu, -1.0, 1.0))
-    if case is EntryCase.ONE:
-        t_lady = (leg_r + leg_s) / mu
-        t_man = theta + ang_r + ang_s - math.pi
-    else:
-        t_lady = (leg_s - leg_r) / mu
-        t_man = theta - ang_r + ang_s - math.pi
-    delta = t_lady - t_man
+    legs = (
+        np.sqrt(np.clip(under_r, 0.0, None)),
+        np.sqrt(np.clip(s * s - a2, 0.0, None)),
+        np.arccos(np.clip(s * s / (mu * r), -1.0, 1.0)),
+        np.arccos(np.clip(s / mu, -1.0, 1.0)),
+    )
+    delta = _delta(_times(legs, theta, case, mu))
     delta[under_r < -1e-12] = np.nan
     return delta
 
@@ -250,8 +272,7 @@ def _scan_case(
     values = _delta_grid(r, theta, grid, case, mu)
 
     def f(s: float) -> float:
-        t_lady, t_man = _times(r, theta, s, case, mu)
-        return t_lady - t_man
+        return _delta(_times(_legs(r, s, mu), theta, case, mu))
 
     roots = []
     pts = grid.tolist()
@@ -306,6 +327,6 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
             )
         s = min(roots2)
         case = EntryCase.TWO
-    t_lady, t_man = _times(r, theta, s, case, mu)
+    t_lady, t_man = _times(_legs(r, s, mu), theta, case, mu)
     total = time_on_focal_line(s, params) + t_lady
     return EntrySolution(s, case, t_lady, t_man, total)

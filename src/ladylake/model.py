@@ -132,9 +132,13 @@ def state_derivative(
         raise DomainError(
             f"r = {state.r} below cutoff {params.eps_r}; theta dynamics singular"
         )
-    dr = params.mu * controls.cos_psi
-    dtheta = params.mu / state.r * controls.sin_psi - controls.omega
-    return dr, dtheta
+    return rates(state.r, controls.cos_psi, controls.sin_psi, controls.omega, params.mu)
+
+
+def rates(r, cos_psi, sin_psi, omega, mu: float):
+    """(dr/dt, dtheta/dt) on plain floats or numpy arrays, unchecked; the
+    one home of the dynamics."""
+    return mu * cos_psi, mu / r * sin_psi - omega
 
 
 def canonicalize(r: float, theta_signed: float) -> tuple[PolarState, bool]:

@@ -22,6 +22,7 @@ from .model import (
     LakeGameError,
     PolarState,
     RegionError,
+    rates,
     reflect_controls,
 )
 
@@ -156,26 +157,21 @@ class _Lady:
         th = min(max(th, 0.0), _PI)
         if omega_now is not None:
             # On the focal line: cancel theta drift against M's current rate.
-            sin_psi = min(1.0, max(-1.0, omega_now * r / mu))
-            return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
+            return focal.fl_heading_at(r, omega_now, mu)
         region = solution.region_of(r, th, self.params)
         if region in solution.CLASSICAL_REGIONS:
-            s = mu / r
-            c = math.sqrt(max(0.0, 1.0 - s * s))
+            c, s = classical.classical_heading_at(r, mu)
         elif region in solution.UNIVERSAL_REGIONS:
             self.reset()
             c, s = -1.0, 0.0
         else:
             found = focal.entry_root(r, th, self.params, self.case, self.s)
             self.s, self.case = found or (self.s, self.case)
-            a = self.s * self.s / mu
+            a = focal.tangency_radius(self.s, self.params)
             if self.case is focal.EntryCase.ONE and r <= a + _TANGENCY_SLACK:
                 self.case = focal.EntryCase.TWO
                 self.tangency_passed = True
-            s = min(1.0, self.s * self.s / (mu * max(r, a)))
-            c = math.sqrt(max(0.0, 1.0 - s * s))
-            if self.case is focal.EntryCase.ONE:
-                c = -c
+            c, s = focal.tributary_heading_at(max(r, a), self.s, self.case, mu)
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
 
@@ -236,9 +232,8 @@ def simulate(
 
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
         c, s_, om = eval_controls(tt, rr, thh)
-        rr_safe = max(abs(rr), 1e-12)
-        dth = (mu / rr_safe * s_ if s_ != 0.0 else 0.0) - om
-        return mu * c, dth, sign * om
+        dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
+        return dr, dth, sign * om
 
     def rk4(tt, rr, thh, al, h):
         d1r, d1t, d1a = deriv(tt, rr, thh)
@@ -398,12 +393,7 @@ class DeviationRow:
 
 
 def deviation_report(
-    initial: PolarState,
-    params: GameParams,
-    deltas: tuple[float, ...] = (0.05, -0.05),
-    dt: float = 1e-3,
-    t_max: float = 20.0,
-    man_deviations: tuple[StrategySpec, ...] | None = None,
+    initial: PolarState, params: GameParams, dt: float = 1e-3
 ) -> tuple[float, list[DeviationRow]]:
     """Saddle check around equilibrium play from a below-barrier start.
 
@@ -412,21 +402,15 @@ def deviation_report(
     that a pass is margin >= -tolerance.
     """
     eq_lady, eq_man = StrategySpec.equilibrium("lady"), StrategySpec.equilibrium("man")
+    t_max = 20.0
     t_eq = simulate(initial, eq_lady, eq_man, dt, t_max, params).t_final
-    runs = [("lady", f"delta_psi={d:+g}", StrategySpec.perturbed(d), eq_man) for d in deltas]
-    if man_deviations is None:
-        man_deviations = (
-            StrategySpec.constant_omega(0.8),
-            StrategySpec.constant_omega(0.0),
-            StrategySpec.switching_omega(0.2),
-        )
-    for spec in man_deviations:
-        label = spec.kind + (
-            f"={spec.value:g}" if spec.kind == "constant_omega" else f"(period={spec.period:g})"
-            if spec.kind == "switching_omega"
-            else ""
-        )
-        runs.append(("man", label, eq_lady, spec))
+    runs = (
+        ("lady", "delta_psi=+0.05", StrategySpec.perturbed(0.05), eq_man),
+        ("lady", "delta_psi=-0.05", StrategySpec.perturbed(-0.05), eq_man),
+        ("man", "constant_omega=0.8", eq_lady, StrategySpec.constant_omega(0.8)),
+        ("man", "constant_omega=0", eq_lady, StrategySpec.constant_omega(0.0)),
+        ("man", "switching_omega(period=0.2)", eq_lady, StrategySpec.switching_omega(0.2)),
+    )
     rows: list[DeviationRow] = []
     for side, label, lady, man in runs:
         run = simulate(initial, lady, man, dt, t_max, params)
@@ -454,8 +438,9 @@ def integrate_classical_fan(
         raise RegionError("classical fan requires r >= mu")
 
     def d(rr):
-        s = mu / np.maximum(rr, mu)
-        return mu * np.sqrt(np.clip(1.0 - s * s, 0.0, None)), s * s - 1.0
+        rr = np.maximum(rr, mu)
+        s = mu / rr  # the classical heading, sin_psi = mu/r
+        return rates(rr, np.sqrt(np.clip(1.0 - s * s, 0.0, None)), s, 1.0, mu)
 
     def rk4(rr, h):
         """RK4 increments (dr, dtheta) over step h (a scalar or one per state)."""

@@ -127,12 +127,7 @@ def advise(
         value = universal.time_to_antipode(state, params)
         return StrategyAdvice(region, controls, value, ValueKind.TIME_TO_E)
     entry = focal.solve_entry(state, params)
-    phase = (
-        focal.Phase.PRE_TANGENT
-        if entry.case is focal.EntryCase.ONE
-        else focal.Phase.POST_TANGENT
-    )
-    controls = focal.tributary_heading(state, entry.s, phase, params)
+    controls = focal.tributary_heading(state, entry.s, entry.case, params)
     return StrategyAdvice(
         Region.FOCAL_TRIBUTARY, controls, entry.total_time, ValueKind.TIME_TO_E, entry
     )

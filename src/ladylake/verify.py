@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import classical, focal, solution, universal
-from .model import ControlPair, DomainError, GameParams, LakeGameError, PolarState
+from .model import ControlPair, DomainError, GameParams, LakeGameError, PolarState, rates
 
 _PI = math.pi
 
@@ -50,7 +50,7 @@ def costate_classical(state: PolarState, params: GameParams) -> Costate:
 
 
 def costate_focal(
-    state: PolarState, s: float, phase: focal.Phase, params: GameParams
+    state: PolarState, s: float, phase: focal.EntryCase, params: GameParams
 ) -> Costate:
     """Min-time adjoints along a focal-line tributary with entry radius s.
 
@@ -63,7 +63,7 @@ def costate_focal(
         raise DomainError(f"entry radius must lie in (0, mu), got {s}")
     nu = -s * s / (mu * mu - s * s)
     mag = math.sqrt(max(0.0, mu * mu - s**4 / (state.r * state.r))) / (mu * mu - s * s)
-    lam_r = mag if phase is focal.Phase.PRE_TANGENT else -mag
+    lam_r = mag if phase is focal.EntryCase.ONE else -mag
     return Costate(lam_r, nu, nu, GameTag.MIN_TIME_FL)
 
 
@@ -81,21 +81,14 @@ def costate_universal(params: GameParams) -> Costate:
     return Costate(1.0 / params.mu, 0.0, 0.0, GameTag.MIN_TIME_UL)
 
 
-def _costate_times_dynamics(
-    state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
-) -> float:
-    mu = params.mu
-    return costate.lambda_r * mu * controls.cos_psi + costate.lambda_theta * (
-        mu / state.r * controls.sin_psi - controls.omega
-    )
-
-
 def hamiltonian_classical(
     state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
 ) -> float:
+    """The costate times the dynamics."""
     if costate.game_tag is not GameTag.CLASSICAL:
         raise DomainError(f"classical Hamiltonian needs a Classical costate, got {costate.game_tag}")
-    return _costate_times_dynamics(state, costate, controls, params)
+    dr, dtheta = rates(state.r, controls.cos_psi, controls.sin_psi, controls.omega, params.mu)
+    return costate.lambda_r * dr + costate.lambda_theta * dtheta
 
 
 def hamiltonian_min_time(
@@ -104,7 +97,8 @@ def hamiltonian_min_time(
     """The classical form plus the unit running cost of the min-time game."""
     if costate.game_tag is GameTag.CLASSICAL:
         raise DomainError("min-time Hamiltonian needs a min-time costate")
-    return _costate_times_dynamics(state, costate, controls, params) + 1.0
+    classical_form = replace(costate, game_tag=GameTag.CLASSICAL)
+    return hamiltonian_classical(state, classical_form, controls, params) + 1.0
 
 
 def min_time_value(r: float, theta: float, params: GameParams) -> float:
@@ -185,12 +179,10 @@ def barrier_sweep(params: GameParams, n: int = 1000) -> float:
     return worst
 
 
-def trajectory_hamiltonians(
-    traj, params: GameParams, sample_dt: float = 0.01
-) -> list[tuple[float, float]]:
+def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float]]:
     """Exact-costate Hamiltonian along a recorded equilibrium trajectory.
 
-    Samples roughly every sample_dt time units and returns (t, H) pairs;
+    Samples roughly every 0.01 time units and returns (t, H) pairs;
     the costate family is chosen per sample from the state's region, with
     the tributary phase read off the sign of the recorded radial control.
     """
@@ -200,7 +192,7 @@ def trajectory_hamiltonians(
         t = traj.t[k]
         if t < next_t - 1e-12:
             continue
-        next_t = t + sample_dt
+        next_t = t + 0.01
         r, theta = traj.r[k], traj.theta[k]
         sign = -1.0 if traj.mirror[k] else 1.0
         controls = ControlPair(
@@ -223,11 +215,7 @@ def trajectory_hamiltonians(
             co = costate_universal(params)
         else:
             entry = focal.solve_entry(state, params)
-            phase = (
-                focal.Phase.PRE_TANGENT
-                if controls.cos_psi < 0.0
-                else focal.Phase.POST_TANGENT
-            )
+            phase = focal.EntryCase.ONE if controls.cos_psi < 0.0 else focal.EntryCase.TWO
             co = costate_focal(state, entry.s, phase, params)
         out.append((t, hamiltonian_min_time(state, co, controls, params)))
     return out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from ladylake import classical, focal
@@ -67,6 +67,10 @@ class TestTimeOnFocalLine:
 
 
 class TestTributaryHeading:
+    def test_phase_is_entry_case(self):
+        assert focal.Phase.PRE_TANGENT is focal.EntryCase.ONE
+        assert focal.Phase.POST_TANGENT is focal.EntryCase.TWO
+
     def test_matches_fl_control_at_entry(self, params):
         # Tangential merge: at r = s the tributary heading equals the
         # on-line reactive control.
@@ -313,6 +317,9 @@ class TestEntryMismatchMonotone:
         v=st.floats(0.01, 0.99),
         w=st.floats(0.0, 1.0),
     )
+    # Case Two with the hint at s_hi, where the slope is infinite, so a short
+    # Newton step there lies far from the root.
+    @example(mu=0.03125, u=0.025390625, v=0.65625, w=0.0)
     def test_entry_root_matches_scan(self, mu, u, v, w):
         # The states of test_case_sign_pattern; solve_entry's scan is the reference.
         params = GameParams(mu)

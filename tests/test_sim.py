@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ladylake import classical, focal, sim
+from ladylake import classical, focal, sim, solution
 from ladylake.model import DomainError, GameParams, PolarState
 
 MU = 0.3
@@ -246,6 +246,31 @@ class TestNonEquilibriumLady:
         kinds = [k for _, k in traj.events]
         assert "reflection" in kinds
         assert 1 in traj.mirror
+
+
+class TestLadyMatchesAdvise:
+    """The equilibrium lady plays advise's heading, apart from the two
+    differences the simulator makes on purpose: in case One within
+    _TANGENCY_SLACK of the tangency circle she already turns outward, and
+    inside the E_SNAP box she keeps the tributary heading."""
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.6, 0.9])
+    def test_heading_matches_advise(self, mu):
+        params = GameParams(mu)
+        for i in range(40):
+            for j in range(41):
+                r, theta = i / 40, math.pi * j / 40
+                if r < params.eps_r or (
+                    abs(r - mu) <= solution.E_SNAP and abs(theta - math.pi) <= solution.E_SNAP
+                ):
+                    continue
+                adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
+                e = adv.entry
+                if e and e.case is focal.EntryCase.ONE and r - e.s**2 / mu <= sim._TANGENCY_SLACK:
+                    continue
+                c, s = sim._Lady(params, 0.0)(r, theta, None)
+                assert c == pytest.approx(adv.controls.cos_psi, abs=1e-6), (r, theta)
+                assert s == pytest.approx(adv.controls.sin_psi, abs=1e-6), (r, theta)
 
 
 class TestDeviationReport:
