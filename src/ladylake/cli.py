@@ -207,6 +207,8 @@ def _flowfield_paths(game: str, params: GameParams, n_s: int, n_ul: int, n_pts: 
 
 def cmd_flowfield(args: argparse.Namespace) -> int:
     params = GameParams(args.mu)
+    if args.samples < 2 or args.s_grid < 2 or args.ul_grid < 0:
+        raise DomainError("--samples and --s-grid must be at least 2, --ul-grid at least 0")
     paths = _flowfield_paths(args.game, params, args.s_grid, args.ul_grid, args.samples)
     if args.out.endswith(".svg"):
         body = []

@@ -136,8 +136,8 @@ def state_derivative(
 
 
 def rates(r, cos_psi, sin_psi, omega, mu: float):
-    """(dr/dt, dtheta/dt) on plain floats or numpy arrays, unchecked; the
-    one home of the dynamics."""
+    """(dr/dt, dtheta/dt) on plain floats, unchecked; the one home of the
+    dynamics."""
     return mu * cos_psi, mu / r * sin_psi - omega
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from . import classical, focal, solution
 from .model import (
@@ -175,6 +173,36 @@ class _Lady:
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
 
+def _rk4(deriv, t: float, r: float, theta: float, alpha: float, h: float, k1):
+    """One RK4 step of (r, theta, alpha) over h; deriv(t, r, theta) gives their
+    rates, and k1 is its value at the start."""
+    d1r, d1t, d1a = k1
+    d2r, d2t, d2a = deriv(t + 0.5 * h, r + 0.5 * h * d1r, theta + 0.5 * h * d1t)
+    d3r, d3t, d3a = deriv(t + 0.5 * h, r + 0.5 * h * d2r, theta + 0.5 * h * d2t)
+    d4r, d4t, d4a = deriv(t + h, r + h * d3r, theta + h * d3t)
+    return (
+        r + h / 6.0 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r),
+        theta + h / 6.0 * (d1t + 2.0 * d2t + 2.0 * d3t + d4t),
+        alpha + h / 6.0 * (d1a + 2.0 * d2a + 2.0 * d3a + d4a),
+    )
+
+
+def _crossing(g, step, h: float, tol: float) -> float:
+    """First sub-step of (0, h] found past the zero of g(r, theta) along
+    step(sigma) -> (r, theta, alpha), given g > 0 at 0 and <= 0 at h: at
+    most 60 halvings, down to a bracket of tol."""
+    lo, hi = 0.0, h
+    for _ in range(60):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if g(*step(mid)[:2]) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _man_rate(spec: StrategySpec, params: GameParams) -> Callable[[float, float, float], float]:
     """M's angular rate as a function of (t, r, theta), one per man kind."""
     if spec.kind == "equilibrium":
@@ -201,8 +229,8 @@ def simulate(
     """
     if params is None:
         raise DomainError("params is required")
-    if dt <= 0.0 or t_max <= 0.0:
-        raise DomainError("dt and t_max must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        raise DomainError("dt and t_max must be finite and positive")
     if lady.side != "lady" or man.side != "man":
         raise DomainError("a lady strategy and a man strategy are required")
     mu = params.mu
@@ -218,8 +246,9 @@ def simulate(
     mode_fl = abs(th - _PI) <= tol and r <= mu + tol
     traj = Trajectory()
 
-    def eval_controls(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
-        """Canonical (cos_psi, sin_psi, omega) at a trial state."""
+    def stage(tt: float, rr: float, thh: float):
+        """Canonical (cos_psi, sin_psi, omega) at a trial state, and the rates
+        of (r, theta, alpha) they give."""
         om = man_rate(tt, rr, thh)
         if not man_eq:
             om *= sign
@@ -228,26 +257,16 @@ def simulate(
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
             c, s_ = lady_s(rr, thh, om if mode_fl else None)
-        return c, s_, om
+        dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
+        return (c, s_, om), (dr, dth, sign * om)
 
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
-        c, s_, om = eval_controls(tt, rr, thh)
-        dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
-        return dr, dth, sign * om
+        return stage(tt, rr, thh)[1]
 
-    def rk4(tt, rr, thh, al, h):
-        d1r, d1t, d1a = deriv(tt, rr, thh)
-        d2r, d2t, d2a = deriv(tt + 0.5 * h, rr + 0.5 * h * d1r, thh + 0.5 * h * d1t)
-        d3r, d3t, d3a = deriv(tt + 0.5 * h, rr + 0.5 * h * d2r, thh + 0.5 * h * d2t)
-        d4r, d4t, d4a = deriv(tt + h, rr + h * d3r, thh + h * d3t)
-        return (
-            rr + h / 6.0 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r),
-            thh + h / 6.0 * (d1t + 2.0 * d2t + 2.0 * d3t + d4t),
-            al + h / 6.0 * (d1a + 2.0 * d2a + 2.0 * d3a + d4a),
-        )
-
-    def record(tt, rr, thh, al):
-        c, s_, om = eval_controls(tt, rr, thh)
+    def record(tt, rr, thh, al) -> tuple[float, float, float]:
+        """Append a state and its true-frame controls; return its rates, the
+        first stage of the next step."""
+        (c, s_, om), k = stage(tt, rr, thh)
         true = reflect_controls(
             ControlPair(c, min(1.0, max(-1.0, s_)), om), sign < 0.0
         )
@@ -259,12 +278,17 @@ def simulate(
         traj.cos_psi.append(true.cos_psi)
         traj.sin_psi.append(true.sin_psi)
         traj.omega.append(true.omega)
+        return k
+
+    def step(sigma: float) -> tuple[float, float, float]:
+        """The RK4 step of length sigma from the current (t, r, th, alpha)."""
+        return _rk4(deriv, t, r, th, alpha, sigma, k1)
 
     def at_e(rr: float, thh: float) -> bool:
         return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
 
     t = 0.0
-    record(t, r, th, alpha)
+    k1 = record(t, r, th, alpha)
     end = None
     if at_e(r, th):
         end = "reached_e"
@@ -275,7 +299,7 @@ def simulate(
         s_event = lady_s.s
         case_event = lady_s.case
         try:
-            r1, th1, al1 = rk4(t, r, th, alpha, h)
+            r1, th1, al1 = step(h)
         except LakeGameError:
             traj.events.append((t, "strategy_error"))
             break
@@ -288,20 +312,7 @@ def simulate(
         def locate(g, kind: str) -> None:
             g0, g1 = g(r, th), g(r1, th1)
             if g0 > 0.0 >= g1:
-                def gg(sigma: float) -> float:
-                    rr, thh, _ = rk4(t, r, th, alpha, sigma)
-                    return g(rr, thh)
-
-                lo_s, hi_s = 0.0, h
-                for _ in range(60):
-                    if hi_s - lo_s <= tol:
-                        break
-                    mid = 0.5 * (lo_s + hi_s)
-                    if gg(mid) > 0.0:
-                        lo_s = mid
-                    else:
-                        hi_s = mid
-                candidates.append((hi_s, kind))
+                candidates.append((_crossing(g, step, h, tol), kind))
 
         locate(lambda rr, thh: 1.0 - rr, "shore_exit")
         if not mode_fl:
@@ -325,54 +336,36 @@ def simulate(
             traj.events.append((t + h, "tangency"))
             lady_s.tangency_passed = False
 
-        if not candidates:
-            t += h
-            r, th, alpha = r1, min(max(th1, 0.0), _PI), al1
-            record(t, r, th, alpha)
-            continue
-
-        sigma, kind = min(candidates)
-        re, te, ae = rk4(t, r, th, alpha, sigma)
+        # The step, cut short at the earliest event, then that event's rule.
+        sigma, kind = min(candidates, default=(h, "step"))
+        r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
         t += sigma
-        te = min(max(te, 0.0), _PI)
+        th = min(max(th, 0.0), _PI)
         if kind in ("shore_exit", "reached_e"):
-            r, th, alpha = min(re, 1.0) if kind == "shore_exit" else re, te, ae
-            record(t, r, th, alpha)
-            end = kind
-            break
-        if kind == "origin_passage":
-            th_new = _PI - te
-            if abs(th_new - _PI) <= 1e-6:
-                th_new = _PI
-            r, th, alpha = params.eps_r, th_new, ae
+            r, end = min(r, 1.0), kind
+        elif kind == "origin_passage":
+            th = _PI - th
+            if abs(th - _PI) <= 1e-6:
+                th = _PI
+            r = params.eps_r
             mode_fl = abs(th - _PI) <= tol
             lady_s.reset()
             traj.events.append((t, "origin_passage"))
-            record(t, r, th, alpha)
-            continue
-        if kind == "ul_cross":
-            if man_eq and snap_to_fl:
-                r, th, alpha = re, 0.0, ae
-                traj.events.append((t, "ul_entry"))
+        elif kind != "step":
+            # theta = 0 or pi crossed: snap onto the singular line under
+            # equilibrium play, else mirror the frame.
+            on_fl = kind == "fl_cross"
+            if snap_to_fl and (r < mu + tol if on_fl else man_eq):
+                r, th = (min(r, mu), _PI) if on_fl else (r, 0.0)
+                if on_fl:
+                    mode_fl = True
+                    lady_s.reset()
+                traj.events.append((t, "fl_entry" if on_fl else "ul_entry"))
             else:
-                r, th, alpha = re, abs(te), ae
                 sign = -sign
                 traj.events.append((t, "reflection"))
-            record(t, r, th, alpha)
-            continue
-        # fl_cross
-        if snap_to_fl and re < mu + tol:
-            r, th, alpha = min(re, mu), _PI, ae
-            mode_fl = True
-            lady_s.reset()
-            traj.events.append((t, "fl_entry"))
-        else:
-            r, th, alpha = re, min(2.0 * _PI - te, _PI) if te > _PI else te, ae
-            sign = -sign
-            traj.events.append((t, "reflection"))
-        record(t, r, th, alpha)
-        if at_e(r, th):
-            end = "reached_e"
+            end = "reached_e" if at_e(r, th) else None
+        k1 = record(t, r, th, alpha)
 
     if end is not None:
         traj.events.append((t, end))
@@ -414,81 +407,48 @@ def deviation_report(
     rows: list[DeviationRow] = []
     for side, label, lady, man in runs:
         run = simulate(initial, lady, man, dt, t_max, params)
-        # A run that never reaches E is scored at the horizon so the margin
-        # stays finite and JSON-safe: such an L-deviation did not arrive
-        # early, and such an M-deviation fails the check.
-        t_eff = run.t_final if run.outcome == "reached_e" else t_max
-        margin = t_eff - t_eq if side == "lady" else t_eq - t_eff
+        # A run that never reaches E fails the check whichever side deviated:
+        # it is scored t_eq - t_max, which stays finite and JSON-safe.
+        if run.outcome != "reached_e":
+            margin = t_eq - t_max
+        else:
+            margin = run.t_final - t_eq if side == "lady" else t_eq - run.t_final
         rows.append(DeviationRow(side, label, run.t_final, margin, run.outcome))
     return t_eq, rows
 
 
 def integrate_classical_fan(
-    r0: np.ndarray, theta0: np.ndarray, params: GameParams, dt: float = 1e-4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized closed-loop run of many classical equilibrium trajectories.
+    r0: Sequence[float], theta0: Sequence[float], params: GameParams, dt: float = 1e-4
+) -> tuple[list[float], list[float]]:
+    """Closed-loop runs of classical equilibrium play, one per start.
 
-    All states must start at r >= mu; integration stops at the shore with
-    the crossing refined per trajectory.  Returns (theta_f, t_f).
+    All states must start at r >= mu; each run stops at the shore, found by
+    the simulator's crossing search, or gives NaN if it has not landed
+    within 20 time units.  Returns (theta_f, t_f).
     """
     mu = params.mu
-    r = np.array(r0, dtype=float)
-    th = np.array(theta0, dtype=float)
-    if np.any(r < mu - 1e-12):
+    starts = [(float(r), float(th)) for r, th in zip(r0, theta0)]
+    if any(r < mu - 1e-12 for r, _ in starts):
         raise RegionError("classical fan requires r >= mu")
 
-    def d(rr):
-        rr = np.maximum(rr, mu)
-        s = mu / rr  # the classical heading, sin_psi = mu/r
-        return rates(rr, np.sqrt(np.clip(1.0 - s * s, 0.0, None)), s, 1.0, mu)
+    def deriv(t: float, r: float, theta: float) -> tuple[float, float, float]:
+        r = max(r, mu)
+        dr, dth = rates(r, *classical.classical_heading_at(r, mu), 1.0, mu)
+        return dr, dth, 1.0
 
-    def rk4(rr, h):
-        """RK4 increments (dr, dtheta) over step h (a scalar or one per state)."""
-        k1r, k1t = d(rr)
-        k2r, k2t = d(rr + 0.5 * h * k1r)
-        k3r, k3t = d(rr + 0.5 * h * k2r)
-        k4r, k4t = d(rr + h * k3r)
-        return (
-            h / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r),
-            h / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t),
-        )
+    def step(sigma: float) -> tuple[float, float, float]:
+        """The RK4 step of length sigma from the current run's (t, r, th)."""
+        return _rk4(deriv, t, r, th, 0.0, sigma, k1)
 
-    n = r.shape[0]
-    theta_f = np.full(n, np.nan)
-    t_f = np.full(n, np.nan)
-    active = np.ones(n, dtype=bool)
-    t = 0.0
-    max_steps = int(20.0 / dt) + 1
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        ra, tha = r[active], th[active]
-        dr, dth = rk4(ra, dt)
-        rn = ra + dr
-        thn = tha + dth
-        crossed = rn >= 1.0
-        if crossed.any():
-            # Bisect every crossing step at once; all brackets start as
-            # [0, dt] and halve together.
-            r0c = ra[crossed]
-            lo, hi = np.zeros(r0c.shape), np.full(r0c.shape, dt)
-            for _ in range(60):
-                if np.max(hi - lo) <= params.tol_event:
-                    break
-                mid = 0.5 * (lo + hi)
-                inside = r0c + rk4(r0c, mid)[0] < 1.0
-                lo = np.where(inside, mid, lo)
-                hi = np.where(inside, hi, mid)
-            sig = 0.5 * (lo + hi)
-            sub = np.nonzero(active)[0]
-            theta_f[sub[crossed]] = tha[crossed] + rk4(r0c, sig)[1]
-            t_f[sub[crossed]] = t + sig
-            keep = ~crossed
-            r[sub[keep]] = rn[keep]
-            th[sub[keep]] = thn[keep]
-            active[sub[crossed]] = False
-        else:
-            r[active] = rn
-            th[active] = thn
-        t += dt
+    theta_f, t_f = [math.nan] * len(starts), [math.nan] * len(starts)
+    for i, (r, th) in enumerate(starts):
+        t = 0.0
+        for _ in range(int(20.0 / dt) + 1):
+            k1 = deriv(t, r, th)
+            r1, th1, _ = step(dt)
+            if r1 >= 1.0:
+                sigma = _crossing(lambda rr, thh: 1.0 - rr, step, dt, params.tol_event)
+                theta_f[i], t_f[i] = step(sigma)[1], t + sigma
+                break
+            r, th, t = r1, th1, t + dt
     return theta_f, t_f

@@ -170,6 +170,27 @@ class TestFlowfield:
         assert lines[0] == "trajectory,kind,r,theta"
         assert all(len(ln.split(",")) == 4 for ln in lines[1:])
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--samples", "1"),
+            ("--game", "classical", "--samples", "1"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--s-grid", "1"),
+            ("--game", "classical", "--s-grid", "1"),
+            ("--ul-grid", "-1"),
+        ],
+    )
+    def test_degenerate_sizes_exit_2(self, capsys, tmp_path, extra):
+        path = tmp_path / "field.csv"
+        code, _, err = run(
+            capsys, "flowfield", "--mu", "0.3", "--out", str(path), *extra
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert not path.exists()
+
     def test_deterministic_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run(capsys, "flowfield", "--mu", "0.3", "--out", str(a))

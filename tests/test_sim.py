@@ -189,6 +189,20 @@ class TestDegenerateStarts:
                 params=params,
             )
 
+    @pytest.mark.parametrize("field", ["dt", "t_max"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_step_or_horizon(self, params, field, value):
+        # From (0.15, pi) a run ends well inside the default horizon, so a
+        # simulator that let inf through would still return.
+        with pytest.raises(DomainError):
+            sim.simulate(
+                PolarState(0.15, math.pi),
+                sim.StrategySpec.equilibrium("lady"),
+                sim.StrategySpec.equilibrium("man"),
+                params=params,
+                **{field: value},
+            )
+
 
 class TestNonEquilibriumLady:
     def test_fixed_heading_outward_hits_shore(self, params):
@@ -247,6 +261,22 @@ class TestNonEquilibriumLady:
         assert "reflection" in kinds
         assert 1 in traj.mirror
 
+    def test_reflection_off_focal_line(self, params):
+        # A non-snapping lady crossing theta = pi mirrors the frame too.
+        traj = sim.simulate(
+            PolarState(0.5, 3.1),
+            sim.StrategySpec.fixed_heading(math.sqrt(0.19), 0.9),
+            sim.StrategySpec.constant_omega(0.0),
+            dt=1e-3,
+            t_max=2.0,
+            params=params,
+        )
+        t_first, kind_first = traj.events[0]
+        assert kind_first == "reflection"
+        assert t_first == pytest.approx(0.0778, abs=1e-3)
+        assert 1 in traj.mirror
+        assert max(traj.theta) <= math.pi
+
 
 class TestLadyMatchesAdvise:
     """The equilibrium lady plays advise's heading, apart from the two
@@ -281,6 +311,24 @@ class TestDeviationReport:
         assert len(rows) == 5
         for row in rows:
             assert row.margin >= -1e-3
+
+    def test_lady_timeout_fails(self, params, monkeypatch):
+        # A lady deviation that never reaches E must not pass as a late arrival.
+        simulate = sim.simulate
+
+        def lady_never_arrives(initial, lady, man, dt, t_max, params):
+            if lady.kind == "perturbed_equilibrium":
+                return sim.Trajectory(outcome="timeout", t_final=t_max)
+            return simulate(initial, lady, man, dt, t_max, params)
+
+        monkeypatch.setattr(sim, "simulate", lady_never_arrives)
+        t_eq, rows = sim.deviation_report(PolarState(0.2, 1.0), params)
+        lady_rows = [row for row in rows if row.side == "lady"]
+        assert len(lady_rows) == 2
+        for row in lady_rows:
+            assert row.outcome == "timeout"
+            assert row.margin == pytest.approx(t_eq - 20.0)
+            assert row.margin < -1e-3
 
 
 class TestClassicalFan:
