@@ -1,10 +1,13 @@
 """Closed-loop forward simulation of the relative dynamics.
 
 Fixed-step RK4 with feedback strategies for both agents and bisection
-event refinement: focal-line entry, origin passage, antipodal arrival,
-shore exit, and barrier crossings.  The integrated state is kept in the
-canonical half-plane; crossings of theta = 0 or pi either snap onto the
-singular line (equilibrium play) or mirror the frame.
+event refinement: focal-line entry, origin passage, shore exit, and
+barrier crossings.  On the focal line L's reactive control leaves
+r' = sqrt(mu^2 - omega^2 r^2) with |omega| fixed, so that segment is
+advanced in closed form and its arrival at E is an exact time.  The
+integrated state is kept in the canonical half-plane; crossings of
+theta = 0 or pi either snap onto the singular line (equilibrium play) or
+mirror the frame.
 """
 from __future__ import annotations
 
@@ -25,11 +28,6 @@ from .model import (
 )
 
 _PI = math.pi
-
-# Antipodal arrival threshold on mu - r while on the focal line.  The
-# approach is tangential (r' -> 0), so an exact crossing never occurs;
-# triggering here costs less than 1e-4 in arrival time.
-E_ARRIVE = 1e-9
 
 # Radial slack for flipping the tributary heading sign at the
 # closest-approach circle, which is also touched tangentially.
@@ -132,7 +130,8 @@ class _Lady:
     The case of the path ahead (One until the closest approach, Two after
     it) is kept, as one re-picked from the state chatters on the tangency
     circle, and so is the radius where that case has no root.  On the focal
-    line the exact reactive control keeps the arrival at E well defined.
+    line (omega_now given) she plays the exact reactive control, which
+    simulate advances in closed form without calling her.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -223,9 +222,11 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop from an initial canonical state.
 
-    Controls are re-evaluated from the current state at every RK4 stage;
-    M's instantaneous rate is passed to L's strategy only while the state
-    sits on the focal line.
+    Off the focal line, controls are re-evaluated at every RK4 stage.  On
+    it, under the focal-line control, theta stays pi, r = (mu/w) sin(phi0 +
+    w (t - t0)) with phi0 = asin(w r0/mu) and w = |omega| read at entry, M's
+    angle takes Simpson's rule on his time-only rate, and E is reached
+    exactly at t0 + (asin w - phi0)/w, or t0 + (mu - r0)/mu for w = 0.
     """
     if params is None:
         raise DomainError("params is required")
@@ -243,30 +244,37 @@ def simulate(
 
     r, th, alpha = initial.r, initial.theta, 0.0
     sign = 1.0
-    mode_fl = abs(th - _PI) <= tol and r <= mu + tol
+    # Only a lady who plays the focal-line control stays on the line.
+    mode_fl = snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol
+    t_e = None  # the time of arrival at E, fixed at focal-line entry
     traj = Trajectory()
 
+    def omega(tt: float, rr: float, thh: float) -> float:
+        """M's canonical rate at a trial state, clamped to [-1, 1]."""
+        return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
+
     def stage(tt: float, rr: float, thh: float):
-        """Canonical (cos_psi, sin_psi, omega) at a trial state, and the rates
-        of (r, theta, alpha) they give."""
-        om = man_rate(tt, rr, thh)
-        if not man_eq:
-            om *= sign
-        om = min(1.0, max(-1.0, om))
+        """Canonical (cos_psi, sin_psi, omega) at a trial state off the focal
+        line, and the rates of (r, theta, alpha) they give."""
+        om = omega(tt, rr, thh)
         if fixed_heading is not None:
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
-            c, s_ = lady_s(rr, thh, om if mode_fl else None)
+            c, s_ = lady_s(rr, thh, None)
         dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
         return (c, s_, om), (dr, dth, sign * om)
 
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
         return stage(tt, rr, thh)[1]
 
-    def record(tt, rr, thh, al) -> tuple[float, float, float]:
-        """Append a state and its true-frame controls; return its rates, the
-        first stage of the next step."""
-        (c, s_, om), k = stage(tt, rr, thh)
+    def record(tt, rr, thh, al):
+        """Append a state and its true-frame controls; off the focal line,
+        return its rates, the first stage of the next step."""
+        if mode_fl:
+            om = omega(tt, rr, thh)
+            (c, s_), k = focal.fl_heading_at(rr, om, mu), None
+        else:
+            (c, s_, om), k = stage(tt, rr, thh)
         true = reflect_controls(
             ControlPair(c, min(1.0, max(-1.0, s_)), om), sign < 0.0
         )
@@ -296,6 +304,20 @@ def simulate(
         end = "shore_exit"
     while end is None and t < t_max - 1e-12:
         h = min(dt, t_max - t)
+        if mode_fl:
+            if t_e is None:  # line entry: |omega| stays fixed on the line
+                t0, r0, w = t, r, abs(omega(t, r, th))
+                phi0 = math.asin(w * r0 / mu)
+                t_e = t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
+            if t_e - t <= h:  # the exact arrival, cut into this step
+                h, end = t_e - t, "reached_e"
+            alpha += h / 6.0 * sign * (
+                omega(t, r, th) + 4.0 * omega(t + 0.5 * h, r, th) + omega(t + h, r, th)
+            )
+            t = t_e if end else t + h
+            r = mu if end else (mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
+            record(t, r, th, alpha)
+            continue
         s_event = lady_s.s
         case_event = lady_s.case
         try:
@@ -315,19 +337,12 @@ def simulate(
                 candidates.append((_crossing(g, step, h, tol), kind))
 
         locate(lambda rr, thh: 1.0 - rr, "shore_exit")
-        if not mode_fl:
-            locate(lambda rr, thh: rr - params.eps_r, "origin_passage")
-            locate(lambda rr, thh: thh, "ul_cross")
-            locate(lambda rr, thh: _PI - thh, "fl_cross")
-            if (
-                s_event is not None
-                and case_event is focal.EntryCase.TWO
-                and snap_to_fl
-            ):
-                locate(lambda rr, thh: s_event - rr, "fl_cross")
-        else:
-            locate(lambda rr, thh: (mu - rr) - E_ARRIVE, "reached_e")
-        if r >= mu and r1 >= mu and not mode_fl:
+        locate(lambda rr, thh: rr - params.eps_r, "origin_passage")
+        locate(lambda rr, thh: thh, "ul_cross")
+        locate(lambda rr, thh: _PI - thh, "fl_cross")
+        if s_event is not None and case_event is focal.EntryCase.TWO and snap_to_fl:
+            locate(lambda rr, thh: s_event - rr, "fl_cross")
+        if r >= mu and r1 >= mu:
             side = classical.barrier_side(min(r, 1.0), th, params)
             if side is not classical.barrier_side(min(r1, 1.0), th1, params):
                 traj.events.append((t + 0.5 * h, "barrier_crossing"))
@@ -341,14 +356,14 @@ def simulate(
         r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
         t += sigma
         th = min(max(th, 0.0), _PI)
-        if kind in ("shore_exit", "reached_e"):
+        if kind == "shore_exit":
             r, end = min(r, 1.0), kind
         elif kind == "origin_passage":
             th = _PI - th
             if abs(th - _PI) <= 1e-6:
                 th = _PI
             r = params.eps_r
-            mode_fl = abs(th - _PI) <= tol
+            mode_fl = snap_to_fl and abs(th - _PI) <= tol
             lady_s.reset()
             traj.events.append((t, "origin_passage"))
         elif kind != "step":

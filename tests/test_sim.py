@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ladylake import classical, focal, sim, solution
-from ladylake.model import DomainError, GameParams, PolarState
+from ladylake.model import DomainError, GameParams, PolarState, rates
 
 MU = 0.3
 
@@ -70,6 +70,95 @@ class TestFocalLineRun:
         )
         assert traj.outcome == "reached_e"
         assert max(abs(th - math.pi) for th in traj.theta) < 1e-9
+
+
+class TestFocalLineClosedForm:
+    """The focal-line segment against plain RK4 of model.rates under the
+    focal-line control, stopped short of the tangential end at r = mu."""
+
+    MEN = {
+        "equilibrium": (sim.StrategySpec.equilibrium("man"), lambda t: 1.0),
+        "constant_0.8": (sim.StrategySpec.constant_omega(0.8), lambda t: 0.8),
+        "constant_0": (sim.StrategySpec.constant_omega(0.0), lambda t: 0.0),
+        "switching_0.2": (
+            sim.StrategySpec.switching_omega(0.2),
+            lambda t: 1.0 if int(t / 0.2) % 2 == 0 else -1.0,
+        ),
+    }
+
+    @staticmethod
+    def rk4_oracle(r0, omega_of, dt=1e-4):
+        """(t, r, theta, man_angle) rows of RK4 from (r0, pi) up to r = mu - 1e-4."""
+
+        def d(t, r):
+            om = omega_of(t)
+            return (*rates(r, *focal.fl_heading_at(r, om, MU), om, MU), om)
+
+        t, y = 0.0, (r0, math.pi, 0.0)
+        rows = [(t, *y)]
+        while y[0] < MU - 1e-4:
+            k1 = d(t, y[0])
+            k2 = d(t + dt / 2, y[0] + dt / 2 * k1[0])
+            k3 = d(t + dt / 2, y[0] + dt / 2 * k2[0])
+            k4 = d(t + dt, y[0] + dt * k3[0])
+            y = tuple(
+                a + dt / 6 * (p + 2 * q + 2 * u + v)
+                for a, p, q, u, v in zip(y, k1, k2, k3, k4)
+            )
+            t += dt
+            rows.append((t, *y))
+        return rows[:-1]
+
+    @pytest.mark.parametrize("man", list(MEN))
+    @pytest.mark.parametrize("r0", [0.01, 0.15, 0.24])
+    def test_matches_rk4_oracle(self, params, man, r0):
+        spec, omega_of = self.MEN[man]
+        traj = sim.simulate(
+            PolarState(r0, math.pi), sim.StrategySpec.equilibrium("lady"), spec,
+            dt=1e-4, t_max=20.0, params=params,
+        )
+        assert traj.outcome == "reached_e"
+        rows = self.rk4_oracle(r0, omega_of)
+        assert len(traj.t) > len(rows) > 100
+        for i, (t, r, th, al) in enumerate(rows):
+            assert traj.t[i] == pytest.approx(t, abs=1e-9)
+            assert traj.r[i] == pytest.approx(r, abs=1e-9)
+            assert traj.theta[i] == pytest.approx(th, abs=1e-9)
+            assert traj.man_angle[i] == pytest.approx(al, abs=1e-9)
+        w = abs(omega_of(0.0))
+        if w < 1.0:
+            phi0 = math.asin(w * r0 / MU)
+            t_e = (math.asin(w) - phi0) / w if w else (MU - r0) / MU
+            assert traj.t_final == pytest.approx(t_e, abs=1e-9)
+
+    def test_steps_call_no_rk4_lady_or_rates(self, params, monkeypatch):
+        calls = []
+
+        def counted(name, f):
+            return lambda *a, **k: calls.append(name) or f(*a, **k)
+
+        monkeypatch.setattr(sim, "_rk4", counted("_rk4", sim._rk4))
+        monkeypatch.setattr(sim, "rates", counted("rates", sim.rates))
+        monkeypatch.setattr(sim._Lady, "__call__", counted("_Lady", sim._Lady.__call__))
+        traj = eq_run(PolarState(0.15, math.pi), params, dt=1e-3)
+        assert traj.outcome == "reached_e" and len(traj.t) > 1000
+        assert calls == []
+
+
+class TestExactArrival:
+    def test_focal_line_start(self, params):
+        traj = eq_run(PolarState(0.15, math.pi), params)
+        assert traj.outcome == "reached_e"
+        assert abs(traj.t_final - math.pi / 3) <= 1e-8
+        assert traj.r[-1] == MU and traj.t[-1] == traj.t_final
+
+    def test_universal_line_start(self, params):
+        traj = eq_run(PolarState(0.15, 0.3), params)
+        assert traj.outcome == "reached_e"
+        assert abs(traj.t_final - (math.pi / 2 + 0.5)) <= 1e-8
+
+    def test_no_arrival_threshold(self):
+        assert not hasattr(sim, "E_ARRIVE")
 
 
 class TestUniversalLineRun:
@@ -216,6 +305,22 @@ class TestNonEquilibriumLady:
         )
         assert traj.outcome == "reached_shore"
         assert traj.t_final == pytest.approx(0.5 / MU, abs=1e-3)
+
+    def test_fixed_heading_from_focal_line_is_not_held_there(self, params):
+        # Only a lady who plays the focal-line control stays on theta = pi.
+        # With omega = 0 this one has r = 0.1 + 0.18 t and theta' = -0.24/r,
+        # so she lands at t = 5 and theta = pi - (4/3) ln 10.
+        traj = sim.simulate(
+            PolarState(0.1, math.pi),
+            sim.StrategySpec.fixed_heading(0.6, -0.8),
+            sim.StrategySpec.constant_omega(0.0),
+            dt=1e-3,
+            params=params,
+        )
+        assert traj.outcome == "reached_shore"
+        assert [k for _, k in traj.events] == ["shore_exit"]
+        assert traj.t_final == pytest.approx(5.0, abs=1e-6)
+        assert traj.theta_f == pytest.approx(math.pi - 4.0 / 3.0 * math.log(10.0), abs=1e-6)
 
     def test_fixed_heading_off_unit_by_1e10_runs(self, params):
         # Within StrategySpec's 1e-9 unit check but over the recorded
