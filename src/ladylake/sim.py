@@ -2,18 +2,17 @@
 
 Fixed-step RK4 with feedback strategies for both agents and bisection
 event refinement: focal-line entry, origin passage, shore exit, and
-barrier crossings.  On the focal line L's reactive control leaves
-r' = sqrt(mu^2 - omega^2 r^2) with |omega| fixed, so that segment is
-advanced in closed form and its arrival at E is an exact time.  The
-integrated state is kept in the canonical half-plane; crossings of
-theta = 0 or pi either snap onto the singular line (equilibrium play) or
-mirror the frame.
+barrier crossings.  Two segments of equilibrium play, the focal line and
+classical play above the barrier, are advanced in closed form instead, up
+to an exact end time.  The integrated state is kept in the canonical
+half-plane; crossings of theta = 0 or pi either snap onto the singular
+line (equilibrium play) or mirror the frame.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import classical, focal, solution
 from .model import (
@@ -22,7 +21,7 @@ from .model import (
     GameParams,
     LakeGameError,
     PolarState,
-    RegionError,
+    classical_drift,
     rates,
     reflect_controls,
 )
@@ -130,8 +129,7 @@ class _Lady:
     The case of the path ahead (One until the closest approach, Two after
     it) is kept, as one re-picked from the state chatters on the tangency
     circle, and so is the radius where that case has no root.  On the focal
-    line (omega_now given) she plays the exact reactive control, which
-    simulate advances in closed form without calling her.
+    line simulate plays her reactive control in closed form instead.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -146,15 +144,10 @@ class _Lady:
         self.s = None
         self.case = None
 
-    def __call__(
-        self, r: float, th: float, omega_now: float | None
-    ) -> tuple[float, float]:
+    def __call__(self, r: float, th: float) -> tuple[float, float]:
         mu = self.params.mu
         r = min(max(r, self.params.eps_r), 1.0)
         th = min(max(th, 0.0), _PI)
-        if omega_now is not None:
-            # On the focal line: cancel theta drift against M's current rate.
-            return focal.fl_heading_at(r, omega_now, mu)
         region = solution.region_of(r, th, self.params)
         if region in solution.CLASSICAL_REGIONS:
             c, s = classical.classical_heading_at(r, mu)
@@ -222,11 +215,16 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop from an initial canonical state.
 
-    Off the focal line, controls are re-evaluated at every RK4 stage.  On
-    it, under the focal-line control, theta stays pi, r = (mu/w) sin(phi0 +
-    w (t - t0)) with phi0 = asin(w r0/mu) and w = |omega| read at entry, M's
-    angle takes Simpson's rule on his time-only rate, and E is reached
-    exactly at t0 + (asin w - phi0)/w, or t0 + (mu - r0)/mu for w = 0.
+    Controls are re-evaluated at every RK4 stage, except on two segments
+    stepped in closed form on the same dt grid up to an exact end, with
+    w = |omega| read at entry and Simpson's rule for M's time-only rate:
+    - the focal line under its control, where w is fixed: theta stays pi,
+      r = (mu/w) sin(phi0 + w (t - t0)) with phi0 = asin(w r0/mu), and E is
+      reached at t0 + (asin w - phi0)/w, or t0 + (mu - r0)/mu for w = 0;
+    - equilibrium play from above or on the barrier with classical value
+      V > tol_event (else theta = 0 comes first): r = hypot(mu, u), u =
+      sqrt(r0^2 - mu^2) + mu (t - t0), theta + classical_drift(r) stays
+      put, and the shore is reached at u = sqrt(1 - mu^2) with theta_f = V.
     """
     if params is None:
         raise DomainError("params is required")
@@ -245,8 +243,13 @@ def simulate(
     r, th, alpha = initial.r, initial.theta, 0.0
     sign = 1.0
     # Only a lady who plays the focal-line control stays on the line.
-    mode_fl = snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol
-    t_e = None  # the time of arrival at E, fixed at focal-line entry
+    segment = "fl" if snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol else None
+    if segment is None and lady.kind == man.kind == "equilibrium" and (
+        solution.region_of(r, th, params) in solution.CLASSICAL_REGIONS
+        and classical.classical_value(initial, params) > tol
+    ):
+        segment = "classical"
+    t_end = None  # the segment's end time, fixed at its entry
     traj = Trajectory()
 
     def omega(tt: float, rr: float, thh: float) -> float:
@@ -254,13 +257,13 @@ def simulate(
         return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
 
     def stage(tt: float, rr: float, thh: float):
-        """Canonical (cos_psi, sin_psi, omega) at a trial state off the focal
-        line, and the rates of (r, theta, alpha) they give."""
+        """Canonical (cos_psi, sin_psi, omega) at a trial state off a
+        closed-form segment, and the rates of (r, theta, alpha) they give."""
         om = omega(tt, rr, thh)
         if fixed_heading is not None:
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
-            c, s_ = lady_s(rr, thh, None)
+            c, s_ = lady_s(rr, thh)
         dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
         return (c, s_, om), (dr, dth, sign * om)
 
@@ -268,11 +271,12 @@ def simulate(
         return stage(tt, rr, thh)[1]
 
     def record(tt, rr, thh, al):
-        """Append a state and its true-frame controls; off the focal line,
-        return its rates, the first stage of the next step."""
-        if mode_fl:
-            om = omega(tt, rr, thh)
-            (c, s_), k = focal.fl_heading_at(rr, om, mu), None
+        """Append a state and its true-frame controls; off a closed-form
+        segment, return its rates, the first stage of the next step."""
+        if segment:
+            om, k = omega(tt, rr, thh), None
+            c, s_ = (focal.fl_heading_at(rr, om, mu) if segment == "fl"
+                     else classical.classical_heading_at(rr, mu))
         else:
             (c, s_, om), k = stage(tt, rr, thh)
         true = reflect_controls(
@@ -304,18 +308,26 @@ def simulate(
         end = "shore_exit"
     while end is None and t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        if mode_fl:
-            if t_e is None:  # line entry: |omega| stays fixed on the line
+        if segment:
+            if t_end is None:  # segment entry
                 t0, r0, w = t, r, abs(omega(t, r, th))
-                phi0 = math.asin(w * r0 / mu)
-                t_e = t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
-            if t_e - t <= h:  # the exact arrival, cut into this step
-                h, end = t_e - t, "reached_e"
+                if segment == "fl":
+                    phi0 = math.asin(w * r0 / mu)
+                    t_end = t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
+                else:
+                    u0, v = math.sqrt(max(0.0, r0 * r0 - mu * mu)), th + classical_drift(r0, mu)
+                    t_end = t0 + (math.sqrt(1.0 - mu * mu) - u0) / mu
+            if t_end - t <= h:  # the exact end, cut into this step
+                h, end = t_end - t, "reached_e" if segment == "fl" else "shore_exit"
             alpha += h / 6.0 * sign * (
                 omega(t, r, th) + 4.0 * omega(t + 0.5 * h, r, th) + omega(t + h, r, th)
             )
-            t = t_e if end else t + h
-            r = mu if end else (mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
+            t = t_end if end else t + h
+            if segment == "fl":
+                r = mu if end else (mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
+            else:
+                r = 1.0 if end else math.hypot(mu, u0 + mu * (t - t0))
+                th = v - classical_drift(r, mu)
             record(t, r, th, alpha)
             continue
         s_event = lady_s.s
@@ -353,7 +365,12 @@ def simulate(
 
         # The step, cut short at the earliest event, then that event's rule.
         sigma, kind = min(candidates, default=(h, "step"))
+        leaves_line = not snap_to_fl and th in (0.0, _PI)
         r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
+        if leaves_line and not 0.0 <= th <= _PI:
+            # Off a line she started the step on, which no event sees: mirror.
+            th, sign = (-th if th < 0.0 else 2.0 * _PI - th), -sign
+            traj.events.append((t, "reflection"))
         t += sigma
         th = min(max(th, 0.0), _PI)
         if kind == "shore_exit":
@@ -363,7 +380,7 @@ def simulate(
             if abs(th - _PI) <= 1e-6:
                 th = _PI
             r = params.eps_r
-            mode_fl = snap_to_fl and abs(th - _PI) <= tol
+            segment = "fl" if snap_to_fl and abs(th - _PI) <= tol else None
             lady_s.reset()
             traj.events.append((t, "origin_passage"))
         elif kind != "step":
@@ -373,7 +390,7 @@ def simulate(
             if snap_to_fl and (r < mu + tol if on_fl else man_eq):
                 r, th = (min(r, mu), _PI) if on_fl else (r, 0.0)
                 if on_fl:
-                    mode_fl = True
+                    segment = "fl"
                     lady_s.reset()
                 traj.events.append((t, "fl_entry" if on_fl else "ul_entry"))
             else:
@@ -430,40 +447,3 @@ def deviation_report(
             margin = run.t_final - t_eq if side == "lady" else t_eq - run.t_final
         rows.append(DeviationRow(side, label, run.t_final, margin, run.outcome))
     return t_eq, rows
-
-
-def integrate_classical_fan(
-    r0: Sequence[float], theta0: Sequence[float], params: GameParams, dt: float = 1e-4
-) -> tuple[list[float], list[float]]:
-    """Closed-loop runs of classical equilibrium play, one per start.
-
-    All states must start at r >= mu; each run stops at the shore, found by
-    the simulator's crossing search, or gives NaN if it has not landed
-    within 20 time units.  Returns (theta_f, t_f).
-    """
-    mu = params.mu
-    starts = [(float(r), float(th)) for r, th in zip(r0, theta0)]
-    if any(r < mu - 1e-12 for r, _ in starts):
-        raise RegionError("classical fan requires r >= mu")
-
-    def deriv(t: float, r: float, theta: float) -> tuple[float, float, float]:
-        r = max(r, mu)
-        dr, dth = rates(r, *classical.classical_heading_at(r, mu), 1.0, mu)
-        return dr, dth, 1.0
-
-    def step(sigma: float) -> tuple[float, float, float]:
-        """The RK4 step of length sigma from the current run's (t, r, th)."""
-        return _rk4(deriv, t, r, th, 0.0, sigma, k1)
-
-    theta_f, t_f = [math.nan] * len(starts), [math.nan] * len(starts)
-    for i, (r, th) in enumerate(starts):
-        t = 0.0
-        for _ in range(int(20.0 / dt) + 1):
-            k1 = deriv(t, r, th)
-            r1, th1, _ = step(dt)
-            if r1 >= 1.0:
-                sigma = _crossing(lambda rr, thh: 1.0 - rr, step, dt, params.tol_event)
-                theta_f[i], t_f[i] = step(sigma)[1], t + sigma
-                break
-            r, th, t = r1, th1, t + dt
-    return theta_f, t_f

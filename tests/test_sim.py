@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from ladylake import classical, focal, sim, solution
@@ -132,6 +132,8 @@ class TestFocalLineClosedForm:
             assert traj.t_final == pytest.approx(t_e, abs=1e-9)
 
     def test_steps_call_no_rk4_lady_or_rates(self, params, monkeypatch):
+        # Both closed-form segments: the focal line, and classical play from
+        # above the barrier.
         calls = []
 
         def counted(name, f):
@@ -140,8 +142,9 @@ class TestFocalLineClosedForm:
         monkeypatch.setattr(sim, "_rk4", counted("_rk4", sim._rk4))
         monkeypatch.setattr(sim, "rates", counted("rates", sim.rates))
         monkeypatch.setattr(sim._Lady, "__call__", counted("_Lady", sim._Lady.__call__))
-        traj = eq_run(PolarState(0.15, math.pi), params, dt=1e-3)
-        assert traj.outcome == "reached_e" and len(traj.t) > 1000
+        for start, outcome in (((0.15, math.pi), "reached_e"), ((0.5, 2.8), "reached_shore")):
+            traj = eq_run(PolarState(*start), params, dt=1e-3)
+            assert traj.outcome == outcome and len(traj.t) > 1000
         assert calls == []
 
 
@@ -159,6 +162,64 @@ class TestExactArrival:
 
     def test_no_arrival_threshold(self):
         assert not hasattr(sim, "E_ARRIVE")
+
+
+class TestClassicalClosedForm:
+    """Equilibrium play from above the barrier, stepped in closed form."""
+
+    def test_exact_shore_arrival(self, params):
+        rng = random.Random(7)
+        for _ in range(10):
+            r = rng.uniform(MU + 0.01, 0.99)
+            state = PolarState(r, rng.uniform(classical.barrier_theta(r, params), math.pi))
+            traj = eq_run(state, params, dt=1e-3)
+            assert traj.outcome == "reached_shore" and traj.r[-1] == 1.0
+            assert abs(traj.theta_f - classical.classical_value(state, params)) <= 1e-12
+            t_shore = (math.sqrt(1.0 - MU**2) - math.sqrt(r * r - MU**2)) / MU
+            assert abs(traj.t_final - t_shore) <= 1e-12
+
+    @pytest.mark.parametrize("r0,theta0", [(0.35, 3.1), (0.5, 2.8), (0.8, 3.0)])
+    def test_matches_rk4_oracle(self, params, r0, theta0):
+        """Plain RK4 of model.rates under classical_heading_at, omega = 1,
+        up to r = 1 - 1e-3."""
+
+        def d(r):
+            return (*rates(r, *classical.classical_heading_at(r, MU), 1.0, MU), 1.0)
+
+        dt, y = 1e-4, (r0, theta0, 0.0)
+        rows = [(0.0, *y)]
+        while y[0] < 1.0 - 1e-3:
+            k1 = d(y[0])
+            k2 = d(y[0] + dt / 2 * k1[0])
+            k3 = d(y[0] + dt / 2 * k2[0])
+            k4 = d(y[0] + dt * k3[0])
+            y = tuple(
+                a + dt / 6 * (p + 2 * q + 2 * u + v)
+                for a, p, q, u, v in zip(y, k1, k2, k3, k4)
+            )
+            rows.append((len(rows) * dt, *y))
+        traj = eq_run(PolarState(r0, theta0), params)
+        assert traj.outcome == "reached_shore"
+        assert len(traj.t) > len(rows) > 1000
+        for i, (t, r, th, al) in enumerate(rows[:-1]):
+            assert traj.t[i] == pytest.approx(t, abs=1e-9)
+            assert traj.r[i] == pytest.approx(r, abs=1e-9)
+            assert traj.theta[i] == pytest.approx(th, abs=1e-9)
+            assert traj.man_angle[i] == pytest.approx(al, abs=1e-9)
+
+    @pytest.mark.parametrize("mu,r0,theta0", [(0.1, 0.5, 2.5), (0.15, 0.9, 0.6)])
+    def test_reaching_theta_zero_first_stays_integrated(self, mu, r0, theta0):
+        # Above the barrier but with a classical value below tol_event (mu
+        # under the critical ratio): the path meets the universal line before
+        # the shore, which the closed form does not model.
+        params = GameParams(mu)
+        state = PolarState(r0, theta0)
+        assert solution.region_of(r0, theta0, params) is solution.Region.ABOVE_BARRIER
+        assert classical.classical_value(state, params) < 0.0
+        traj = eq_run(state, params)
+        assert traj.outcome == "reached_shore"
+        assert [k for _, k in traj.events] == ["ul_entry", "shore_exit"]
+        assert traj.theta_f == 0.0
 
 
 class TestUniversalLineRun:
@@ -322,6 +383,28 @@ class TestNonEquilibriumLady:
         assert traj.t_final == pytest.approx(5.0, abs=1e-6)
         assert traj.theta_f == pytest.approx(math.pi - 4.0 / 3.0 * math.log(10.0), abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "theta0,sin_psi,theta_f",
+        [
+            (math.pi, 0.8, math.pi - 4.0 / 3.0 * math.log(10.0)),
+            (0.0, -0.8, 4.0 / 3.0 * math.log(10.0)),
+        ],
+    )
+    def test_fixed_heading_leaving_a_line_is_reflected(self, params, theta0, sin_psi, theta_f):
+        # Starting on theta = pi (or 0) and heading out of [0, pi], she is
+        # mirrored at once; then r = 0.1 + 0.18 t and |theta'| = 0.24/r, so
+        # she lands at t = 5, (4/3) ln 10 away from the line she left.
+        traj = sim.simulate(
+            PolarState(0.1, theta0),
+            sim.StrategySpec.fixed_heading(0.6, sin_psi),
+            sim.StrategySpec.constant_omega(0.0),
+            dt=1e-3,
+            params=params,
+        )
+        assert traj.outcome == "reached_shore"
+        assert traj.events[0] == (0.0, "reflection")
+        assert traj.theta_f == pytest.approx(theta_f, abs=1e-6)
+
     def test_fixed_heading_off_unit_by_1e10_runs(self, params):
         # Within StrategySpec's 1e-9 unit check but over the recorded
         # ControlPair's 1e-12: the spec stores the heading normalised.
@@ -403,7 +486,7 @@ class TestLadyMatchesAdvise:
                 e = adv.entry
                 if e and e.case is focal.EntryCase.ONE and r - e.s**2 / mu <= sim._TANGENCY_SLACK:
                     continue
-                c, s = sim._Lady(params, 0.0)(r, theta, None)
+                c, s = sim._Lady(params, 0.0)(r, theta)
                 assert c == pytest.approx(adv.controls.cos_psi, abs=1e-6), (r, theta)
                 assert s == pytest.approx(adv.controls.sin_psi, abs=1e-6), (r, theta)
 
@@ -434,26 +517,3 @@ class TestDeviationReport:
             assert row.outcome == "timeout"
             assert row.margin == pytest.approx(t_eq - 20.0)
             assert row.margin < -1e-3
-
-
-class TestClassicalFan:
-    def test_matches_closed_form(self, params):
-        rng = np.random.default_rng(7)
-        r0 = rng.uniform(MU + 0.05, 0.99, 10)
-        th0 = np.array(
-            [
-                rng.uniform(classical.barrier_theta(r, params), math.pi)
-                for r in r0
-            ]
-        )
-        theta_f, t_f = sim.integrate_classical_fan(r0, th0, params)
-        for r, th, tf_ang in zip(r0, th0, theta_f):
-            expected = classical.classical_value(PolarState(r, th), params)
-            assert tf_ang == pytest.approx(expected, abs=1e-6)
-        assert np.all(np.isfinite(t_f))
-
-    def test_rejects_inner_start(self, params):
-        with pytest.raises(Exception):
-            sim.integrate_classical_fan(
-                np.array([0.1]), np.array([2.0]), params
-            )
