@@ -37,7 +37,7 @@ def classical_heading(state: PolarState, params: GameParams) -> ControlPair:
     min-time game takes over.
     """
     mu = params.mu
-    if state.r < mu - 1e-15:
+    if state.r < mu - params.slack:
         raise RegionError(f"classical heading undefined for r = {state.r} < mu = {mu}")
     return ControlPair(*classical_heading_at(max(state.r, mu), mu), 1.0)
 
@@ -51,7 +51,7 @@ def classical_heading_at(r: float, mu: float) -> tuple[float, float]:
 def classical_value(state: PolarState, params: GameParams) -> float:
     """Equilibrium terminal angle theta_f from (r, theta), r >= mu."""
     mu = params.mu
-    if state.r < mu - 1e-15:
+    if state.r < mu - params.slack:
         raise RegionError(f"classical value undefined for r = {state.r} < mu = {mu}")
     return state.theta - classical_drift(1.0, mu) + classical_drift(max(state.r, mu), mu)
 
@@ -70,11 +70,11 @@ def critical_mu() -> float:
     Found by bracketing plus bisection; the game literature's five printed
     digits (about 0.21723) serve only as a cross-check.
     """
-    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, 1e-12)
+    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, GameParams.tol_root)
 
 
 def _barrier_radius(r: float, mu: float) -> float:
-    if not mu - 1e-12 <= r <= 1.0 + 1e-12:
+    if not mu - GameParams.slack <= r <= 1.0 + GameParams.slack:
         raise DomainError(f"barrier defined on [mu, 1], got r = {r}")
     return min(max(r, mu), 1.0)
 
@@ -109,7 +109,7 @@ def semipermeability_residual(slope: float, r: float, params: GameParams) -> flo
 def barrier_residual(r: float, params: GameParams) -> float:
     """Semipermeability residual of the barrier itself; ~0 for r in (mu, 1]."""
     mu = params.mu
-    if not mu < r <= 1.0 + 1e-12:
+    if not mu < r <= 1.0 + params.slack:
         raise DomainError(f"residual defined on (mu, 1], got r = {r}")
     r = min(r, 1.0)
     return semipermeability_residual(barrier_slope(r, params), r, params)

@@ -164,7 +164,7 @@ def _below_barrier(samples, params: GameParams) -> list[tuple[float, float]]:
     pts = []
     for smp in samples:
         # Allow a rounding ulp past theta = pi at the focal-line entry point.
-        if smp.r >= 1.0 or not -1e-9 <= smp.theta <= _PI + 1e-9:
+        if smp.r >= 1.0 or not -params.tol_event <= smp.theta <= _PI + params.tol_event:
             break
         theta = min(max(smp.theta, 0.0), _PI)
         if smp.r >= params.mu and theta > classical.barrier_theta(smp.r, params):

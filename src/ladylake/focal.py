@@ -73,7 +73,7 @@ def fl_control(state: PolarState, omega_now: float, params: GameParams) -> Contr
         raise RegionError(f"state with theta = {state.theta} is not on the focal line")
     if state.r > mu + params.tol_event:
         raise DomainError(f"focal line requires r <= mu, got r = {state.r}")
-    if abs(omega_now) > 1.0 + 1e-12:
+    if abs(omega_now) > 1.0 + params.slack:
         raise DomainError(f"|omega_now| must be <= 1, got {omega_now}")
     return ControlPair(*fl_heading_at(min(state.r, mu), omega_now, mu), omega_now)
 
@@ -88,7 +88,7 @@ def fl_heading_at(r: float, omega: float, mu: float) -> tuple[float, float]:
 def time_on_focal_line(s: float, params: GameParams) -> float:
     """Time to drift from radius s to the antipodal radius mu along the line."""
     mu = params.mu
-    if not 0.0 <= s <= mu + 1e-12:
+    if not 0.0 <= s <= mu + params.slack:
         raise DomainError(f"entry radius must lie in [0, mu], got {s}")
     return 0.5 * math.pi - math.asin(min(1.0, s / mu))
 
@@ -115,9 +115,9 @@ def tributary_heading(
     outward after it; the tangential component is s^2/(mu r) throughout.
     """
     mu = params.mu
-    if not 0.0 < s <= mu + 1e-12:
+    if not 0.0 < s <= mu + params.slack:
         raise DomainError(f"entry radius must lie in (0, mu], got {s}")
-    if state.r < s * s / mu - params.tol_event - 1e-12:
+    if state.r < s * s / mu - params.tol_event - params.slack:
         raise DomainError(
             f"r = {state.r} is under the closest-approach circle {s * s / mu}"
         )
@@ -155,7 +155,7 @@ def _legs(r: float, s: float, mu: float) -> tuple[float, float, float, float]:
     a2 = s**4 / (mu * mu)  # squared closest-approach radius
     under_r = r * r - a2
     under_s = s * s - a2
-    if under_r < -1e-12 or under_s < -1e-12:
+    if under_r < -GameParams.slack or under_s < -GameParams.slack:
         raise DomainError(
             f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu"
         )
@@ -186,7 +186,7 @@ def arrival_times(
 ) -> tuple[float, float]:
     """Travel times of L (straight tangent path) and M (shore arc) to the
     aligned entry configuration (s, pi)."""
-    if case is EntryCase.TWO and s < state.r - 1e-12:
+    if case is EntryCase.TWO and s < state.r - params.slack:
         raise DomainError(f"case Two requires s >= r, got s = {s}, r = {state.r}")
     return _times(_legs(state.r, s, params.mu), state.theta, case, params.mu)
 
@@ -258,7 +258,7 @@ def _delta_grid(r: float, theta: float, s: np.ndarray, case: EntryCase, mu: floa
         np.arccos(np.clip(s / mu, -1.0, 1.0)),
     )
     delta = _delta(_times(legs, theta, case, mu))
-    delta[under_r < -1e-12] = np.nan
+    delta[under_r < -GameParams.slack] = np.nan
     return delta
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 class LakeGameError(Exception):
@@ -46,23 +47,29 @@ def _critical_flag(mu: float) -> bool:
 
 @dataclass(frozen=True)
 class GameParams:
-    """Game parameter mu plus the numerical tolerances used throughout.
+    """Game parameter mu plus the one table of numerical tolerances.
 
     mu is the ratio of L's speed to M's; everything else is dimensionless
-    after normalizing the lake radius and M's speed to 1.
+    after normalizing the lake radius and M's speed to 1.  The tolerances
+    are class constants, read as params.<name> or GameParams.<name>.
     """
 
     mu: float
-    eps_r: float = 1e-9
-    tol_root: float = 1e-12
-    tol_event: float = 1e-9
     below_critical: bool = field(init=False)
+
+    eps_r: ClassVar[float] = 1e-9  # theta is singular below this radius
+    tol_root: ClassVar[float] = 1e-12  # bracket width at which a root search stops
+    tol_event: ClassVar[float] = 1e-9  # band of an event, a singular line or the barrier
+    slack: ClassVar[float] = 1e-12  # rounding allowed past a closed-form range or a unit norm
+    input_slack: ClassVar[float] = 1e-9  # the same allowance for headings and poses given
+    # Snap box of the antipodal point, looser than tol_event for states given with
+    # fewer digits of pi; the value jumps at its edge (0 to 0.0328 at mu = r = 0.3).
+    e_snap: ClassVar[float] = 1e-6
+    tangency_slack: ClassVar[float] = 1e-7  # band at r = s^2/mu where a tributary turns outward
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:
             raise DomainError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.eps_r <= 0.0 or self.tol_root <= 0.0 or self.tol_event <= 0.0:
-            raise DomainError("tolerances must be positive")
         object.__setattr__(self, "below_critical", _critical_flag(self.mu))
 
 
@@ -74,9 +81,9 @@ class PolarState:
     theta: float
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.r <= 1.0 + 1e-12:
+        if not -GameParams.slack <= self.r <= 1.0 + GameParams.slack:
             raise DomainError(f"r must lie in [0, 1], got {self.r}")
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
+        if not -GameParams.slack <= self.theta <= math.pi + GameParams.slack:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "r", min(max(self.r, 0.0), 1.0))
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
@@ -98,9 +105,9 @@ class ControlPair:
 
     def __post_init__(self) -> None:
         norm = self.cos_psi**2 + self.sin_psi**2
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > GameParams.slack:
             raise DomainError(f"heading must be a unit vector, |.|^2 = {norm}")
-        if abs(self.omega) > 1.0 + 1e-12:
+        if abs(self.omega) > 1.0 + GameParams.slack:
             raise DomainError(f"|omega| must be <= 1, got {self.omega}")
 
 
@@ -114,9 +121,9 @@ class CartesianPose:
     y_M: float
 
     def __post_init__(self) -> None:
-        if abs(self.x_M**2 + self.y_M**2 - 1.0) > 1e-9:
+        if abs(self.x_M**2 + self.y_M**2 - 1.0) > GameParams.input_slack:
             raise DomainError("M must sit on the unit circle")
-        if self.x_L**2 + self.y_L**2 > 1.0 + 1e-9:
+        if self.x_L**2 + self.y_L**2 > 1.0 + GameParams.input_slack:
             raise DomainError("L must lie inside the lake")
 
 
@@ -147,7 +154,7 @@ def canonicalize(r: float, theta_signed: float) -> tuple[PolarState, bool]:
     Returns the canonical state and a flag that is True iff the input
     angle was negative (the state was mirrored).
     """
-    if not -math.pi - 1e-12 <= theta_signed <= math.pi + 1e-12:
+    if not -math.pi - GameParams.slack <= theta_signed <= math.pi + GameParams.slack:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta_signed}")
     reflected = theta_signed < 0.0
     return PolarState(r, abs(theta_signed)), reflected

@@ -28,9 +28,7 @@ from .model import (
 
 _PI = math.pi
 
-# Radial slack for flipping the tributary heading sign at the
-# closest-approach circle, which is also touched tangentially.
-_TANGENCY_SLACK = 1e-7
+_TANGENCY_SLACK = GameParams.tangency_slack
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class StrategySpec:
             if self.heading is None:
                 raise DomainError("fixed_heading needs a heading")
             c, s = self.heading
-            if abs(c * c + s * s - 1.0) > 1e-9:
+            if abs(c * c + s * s - 1.0) > GameParams.input_slack:
                 raise DomainError("fixed heading must be a unit vector")
             n = math.hypot(c, s)  # stored normalised, so no later unit check refuses it
             object.__setattr__(self, "heading", (c / n, s / n))
@@ -264,7 +262,7 @@ def simulate(
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
             c, s_ = lady_s(rr, thh)
-        dr, dth = rates(max(abs(rr), 1e-12), c, s_, om, mu)
+        dr, dth = rates(max(abs(rr), params.slack), c, s_, om, mu)
         return (c, s_, om), (dr, dth, sign * om)
 
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
@@ -306,7 +304,7 @@ def simulate(
         end = "reached_e"
     elif r >= 1.0 - tol:
         end = "shore_exit"
-    while end is None and t < t_max - 1e-12:
+    while end is None and t < t_max - params.slack:
         h = min(dt, t_max - t)
         if segment:
             if t_end is None:  # segment entry
@@ -354,33 +352,34 @@ def simulate(
         locate(lambda rr, thh: _PI - thh, "fl_cross")
         if s_event is not None and case_event is focal.EntryCase.TWO and snap_to_fl:
             locate(lambda rr, thh: s_event - rr, "fl_cross")
-        if r >= mu and r1 >= mu:
-            side = classical.barrier_side(min(r, 1.0), th, params)
-            if side is not classical.barrier_side(min(r1, 1.0), th1, params):
-                traj.events.append((t + 0.5 * h, "barrier_crossing"))
-
-        if lady_s.tangency_passed:
-            traj.events.append((t + h, "tangency"))
-            lady_s.tangency_passed = False
 
         # The step, cut short at the earliest event, then that event's rule.
         sigma, kind = min(candidates, default=(h, "step"))
-        leaves_line = not snap_to_fl and th in (0.0, _PI)
+        # Snapping play slides on pi, and on 0 where the equilibrium man stands; else mirror.
+        leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or man_eq))
+        side = classical.barrier_side(min(r, 1.0), th, params) if r >= mu else None
         r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
+        if side and r >= mu and side is not classical.barrier_side(min(r, 1.0), th, params):
+            traj.events.append((t + 0.5 * sigma, "barrier_crossing"))
+        if lady_s.tangency_passed:
+            traj.events.append((t + sigma, "tangency"))
+            lady_s.tangency_passed = False
         if leaves_line and not 0.0 <= th <= _PI:
-            # Off a line she started the step on, which no event sees: mirror.
             th, sign = (-th if th < 0.0 else 2.0 * _PI - th), -sign
             traj.events.append((t, "reflection"))
         t += sigma
         th = min(max(th, 0.0), _PI)
         if kind == "shore_exit":
             r, end = min(r, 1.0), kind
-        elif kind == "origin_passage":
-            th = _PI - th
-            if abs(th - _PI) <= 1e-6:
+        elif kind == "origin_passage" or r < 0.0:
+            # Through the centre onto the opposite ray, seen in the mirrored
+            # frame unless she lands on the focal line, where the mirror is moot.
+            r, th = max(abs(r), params.eps_r), _PI - th
+            if abs(th - _PI) <= params.e_snap:
                 th = _PI
-            r = params.eps_r
-            segment = "fl" if snap_to_fl and abs(th - _PI) <= tol else None
+            else:
+                sign = -sign
+            segment = "fl" if snap_to_fl and th == _PI else None
             lady_s.reset()
             traj.events.append((t, "origin_passage"))
         elif kind != "step":

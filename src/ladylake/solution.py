@@ -32,10 +32,7 @@ class ValueKind(str, enum.Enum):
     TERMINAL_ANGLE = "TerminalAngle"
 
 
-# Snap radius for the antipodal point, looser than tol_event for states given
-# with fewer printed digits of pi.  The value jumps at its edge: at mu = r = 0.3
-# it is 0 at theta = pi - 0.99e-6 and 0.0328 at theta = pi - 1.01e-6.
-E_SNAP = 1e-6
+E_SNAP = GameParams.e_snap
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,7 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
     next_t = 0.0
     for k in range(len(traj.t)):
         t = traj.t[k]
-        if t < next_t - 1e-12:
+        if t < next_t - params.slack:
             continue
         next_t = t + 0.01
         r, theta = traj.r[k], traj.theta[k]
@@ -210,6 +210,8 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
             # The terminal point carries the costate of the arc it ends.
             region = solution.min_time_region(state.r, state.theta, params)
         if region is solution.Region.FOCAL_LINE:
+            if r >= params.mu:
+                continue  # at E itself, where the focal-line costate is undefined
             co = costate_on_focal_line(r, params)
         elif region in solution.UNIVERSAL_REGIONS:
             co = costate_universal(params)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from ladylake import sim, solution
 from ladylake.model import (
     CartesianPose,
     ControlPair,
@@ -32,11 +33,13 @@ class TestGameParams:
         assert GameParams(0.2).below_critical
         assert not GameParams(0.3).below_critical
 
-    def test_tolerances_positive(self):
-        with pytest.raises(DomainError):
-            GameParams(0.3, eps_r=0.0)
-        with pytest.raises(DomainError):
-            GameParams(0.3, tol_root=-1e-9)
+    def test_mu_is_the_only_setting(self):
+        # The tolerances are one table of class constants, not arguments.
+        with pytest.raises(TypeError):
+            GameParams(0.3, eps_r=1e-9)
+        p = GameParams(0.3)
+        assert (p.eps_r, p.tol_root, p.tol_event) == (1e-9, 1e-12, 1e-9)
+        assert (solution.E_SNAP, sim._TANGENCY_SLACK) == (1e-6, 1e-7)
 
 
 class TestPolarState:

@@ -1,6 +1,9 @@
+import ast
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import ladylake
@@ -38,3 +41,38 @@ def test_readme_names_resolve():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def _allowed_spans(tree: ast.AST) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Source spans where a literal tolerance may stand: the GameParams table,
+    parameter and CLI-option defaults, cmd_verify's thresholds and
+    critical_mu's bracket."""
+    nodes: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "GameParams":
+            nodes.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            nodes += [d for d in node.args.defaults + node.args.kw_defaults if d is not None]
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            nodes += [kw.value for kw in node.keywords if kw.arg == "default"]
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_verify":
+            nodes += [n for n in ast.walk(node) if isinstance(n, ast.Assign)]
+        if isinstance(node, ast.FunctionDef) and node.name == "critical_mu":
+            calls = [n for n in ast.walk(node) if getattr(getattr(n, "func", None), "id", "") == "bisect"]
+            nodes += [arg for call in calls for arg in call.args[1:3]]
+    return [((n.lineno, n.col_offset), (n.end_lineno, n.end_col_offset)) for n in nodes]
+
+
+def test_tolerances_live_in_game_params():
+    # A literal in scientific notation is a tolerance, a step or a threshold.
+    # Tolerances are read from GameParams; the rest stand where a caller sees them.
+    stray = []
+    for path in sorted(Path(ladylake.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        spans = _allowed_spans(ast.parse(source))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.NUMBER or "e" not in tok.string.lower():
+                continue
+            if not any(lo <= tok.start and tok.end <= hi for lo, hi in spans):
+                stray.append(f"{path.name}:{tok.start[0]} {tok.string}")
+    assert stray == []

@@ -254,6 +254,21 @@ class TestUniversalLineRun:
             assert traj.outcome == "reached_e"
             assert traj.t_final <= base + 1e-3
 
+    def test_deviating_man_turns_the_lady_off_theta_zero(self, params):
+        # On theta = 0 she heads for the centre, so theta' = -omega: against
+        # a man at 0.8 the angle grows at 0.8 rad/s instead of staying at 0.
+        traj = sim.simulate(
+            PolarState(0.15, 0.0),
+            sim.StrategySpec.equilibrium("lady"),
+            sim.StrategySpec.constant_omega(0.8),
+            dt=1e-3,
+            params=params,
+        )
+        k = min(range(len(traj.t)), key=lambda i: abs(traj.t[i] - 0.1))
+        assert traj.theta[k] == pytest.approx(0.08, abs=1e-3)
+        assert traj.events[0][1] == "reflection"
+        assert traj.outcome == "reached_e"
+
 
 class TestFocalTributaryRun:
     @pytest.mark.parametrize("r,theta", [(0.2, 1.0), (0.05, 2.5), (0.5, 2.0)])
@@ -289,6 +304,21 @@ class TestClassicalRun:
     def test_shore_radius_exact(self, params):
         traj = eq_run(PolarState(0.5, 2.8), params)
         assert traj.r[-1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_no_barrier_crossing_past_the_shore(self):
+        # Close above the barrier at the shore: the side is read at the end of
+        # the step cut at the shore, not of the uncut trial step beyond it.
+        params = GameParams(0.6420809489234315)
+        traj = sim.simulate(
+            PolarState(0.6461645662298106, 3.141582224592338),
+            sim.StrategySpec.perturbed(0.0),
+            sim.StrategySpec.equilibrium("man"),
+            dt=1e-3,
+            params=params,
+        )
+        times = [t for t, _ in traj.events]
+        assert times == sorted(times)
+        assert [k for _, k in traj.events] == ["shore_exit"]
 
 
 class TestTrajectoryRecord:
@@ -464,6 +494,40 @@ class TestNonEquilibriumLady:
         assert t_first == pytest.approx(0.0778, abs=1e-3)
         assert 1 in traj.mirror
         assert max(traj.theta) <= math.pi
+
+    def test_passage_through_the_centre_lands_on_the_opposite_ray(self, params):
+        # Heading straight in from (0.2, 1) against a still man, she passes
+        # the centre onto the ray at angle 1 + pi, seen in the mirrored frame;
+        # her heading points back at the centre, so she keeps crossing it.
+        traj = sim.simulate(
+            PolarState(0.2, 1.0),
+            sim.StrategySpec.fixed_heading(-1.0, 0.0),
+            sim.StrategySpec.constant_omega(0.0),
+            dt=1e-3,
+            t_max=2.0,
+            params=params,
+        )
+        assert min(traj.r) >= 0.0
+        t_pass = next(t for t, kind in traj.events if kind == "origin_passage")
+        k = traj.t.index(t_pass)
+        x, y, _, _ = traj.cartesian()[k]
+        assert abs(math.remainder(math.atan2(y, x) - (1.0 + math.pi), 2.0 * math.pi)) <= 1e-9
+
+    def test_tangency_in_a_cut_step_keeps_events_in_time_order(self):
+        # The step that passes the tangency circle is cut at the origin; the
+        # tangency is stamped at the end of the step taken, not of the trial.
+        traj = sim.simulate(
+            PolarState(0.40792812629630315, 0.6548490089329155),
+            sim.StrategySpec.perturbed(0.05),
+            sim.StrategySpec.constant_omega(0.8),
+            dt=1e-3,
+            t_max=8.0,
+            params=GameParams(0.5823196650836735),
+        )
+        kinds = [k for _, k in traj.events]
+        assert kinds[-4:] == ["tangency", "origin_passage", "fl_entry", "reached_e"]
+        times = [t for t, _ in traj.events]
+        assert times == sorted(times)
 
 
 class TestLadyMatchesAdvise:

@@ -181,3 +181,21 @@ class TestTrajectoryHamiltonians:
         traj = self._run(PolarState(0.15, 0.3), params)
         samples = verify.trajectory_hamiltonians(traj, params)
         assert max(abs(hv) for _, hv in samples) < 1e-6
+
+    def test_arrival_record_at_e_is_skipped(self, params):
+        # The record at E (r = mu) has no focal-line costate; keeping only the
+        # first and last records puts it on the 0.01 sampling grid.
+        traj = sim.simulate(
+            PolarState(0.15, math.pi),
+            sim.StrategySpec.equilibrium("lady"),
+            sim.StrategySpec.equilibrium("man"),
+            dt=1e-3,
+            params=params,
+        )
+        assert traj.outcome == "reached_e" and traj.r[-1] == MU
+        for name in ("t", "r", "theta", "man_angle", "mirror", "cos_psi", "sin_psi", "omega"):
+            values = getattr(traj, name)
+            setattr(traj, name, [values[0], values[-1]])
+        samples = verify.trajectory_hamiltonians(traj, params)
+        assert [t for t, _ in samples] == [0.0]
+        assert abs(samples[0][1]) < 1e-12
