@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import classical, focal, universal, verify
 from .model import (
@@ -294,32 +295,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     saddle_pass = True
     for st in starts:
         t_eq, rows = deviation_report(st, params, dt=args.dt)
-        entry = {
-            "r": st.r,
-            "theta": st.theta,
-            "t_eq": t_eq,
-            "rows": [
-                {
-                    "side": row.side,
-                    "label": row.label,
-                    "time": row.time,
-                    "margin": row.margin,
-                    "outcome": row.outcome,
-                }
-                for row in rows
-            ],
-        }
-        saddle.append(entry)
+        saddle.append(
+            {"r": st.r, "theta": st.theta, "t_eq": t_eq, "rows": [asdict(row) for row in rows]}
+        )
         saddle_pass &= all(row.margin >= -tol for row in rows)
     report = {
         "mu": mu,
-        "hji": {
-            "max_abs_residual": hji.max_abs_residual,
-            "worst_state": list(hji.worst_state) if hji.worst_state else None,
-            "n_samples": hji.n_samples,
-            "threshold": tol,
-            "pass": hji.max_abs_residual < tol,
-        },
+        "hji": {**asdict(hji), "threshold": tol, "pass": hji.max_abs_residual < tol},
         "barrier": {
             "max_abs_residual": barrier,
             "threshold": tol_barrier,

@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import classical, focal, solution
-from .model import (
-    ControlPair,
-    DomainError,
-    GameParams,
-    LakeGameError,
-    PolarState,
-    classical_drift,
-    rates,
-    reflect_controls,
-)
+from .model import DomainError, GameParams, LakeGameError, PolarState, classical_drift, rates
 
 _PI = math.pi
 
@@ -277,18 +268,26 @@ def simulate(
                      else classical.classical_heading_at(rr, mu))
         else:
             (c, s_, om), k = stage(tt, rr, thh)
-        true = reflect_controls(
-            ControlPair(c, min(1.0, max(-1.0, s_)), om), sign < 0.0
-        )
         traj.t.append(tt)
         traj.r.append(rr)
         traj.theta.append(thh)
         traj.man_angle.append(al)
         traj.mirror.append(1 if sign < 0.0 else 0)
-        traj.cos_psi.append(true.cos_psi)
-        traj.sin_psi.append(true.sin_psi)
-        traj.omega.append(true.omega)
+        traj.cos_psi.append(c)
+        traj.sin_psi.append(sign * min(1.0, max(-1.0, s_)))
+        traj.omega.append(sign * om)
         return k
+
+    def slides(tt: float, rr: float) -> bool:
+        """Whether a snapping lady on theta = 0 slides along it: the
+        equilibrium man stands still there, or theta' <= 0 in the mirrored
+        frame too, where M's canonical rate changes sign and her heading
+        does not."""
+        if man_eq:
+            return True
+        c, s_ = lady_s(rr, 0.0)
+        om = min(1.0, max(-1.0, -sign * man_rate(tt, rr, 0.0)))
+        return rates(max(abs(rr), params.slack), c, s_, om, mu)[1] <= 0.0
 
     def step(sigma: float) -> tuple[float, float, float]:
         """The RK4 step of length sigma from the current (t, r, th, alpha)."""
@@ -328,6 +327,9 @@ def simulate(
                 th = v - classical_drift(r, mu)
             record(t, r, th, alpha)
             continue
+        # Snapping play slides on pi, and on 0 by slides(); else mirror.  Read
+        # before the trial step, whose stages move the lady's entry memory.
+        leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or slides(t, r)))
         s_event = lady_s.s
         case_event = lady_s.case
         try:
@@ -355,8 +357,6 @@ def simulate(
 
         # The step, cut short at the earliest event, then that event's rule.
         sigma, kind = min(candidates, default=(h, "step"))
-        # Snapping play slides on pi, and on 0 where the equilibrium man stands; else mirror.
-        leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or man_eq))
         side = classical.barrier_side(min(r, 1.0), th, params) if r >= mu else None
         r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
         if side and r >= mu and side is not classical.barrier_side(min(r, 1.0), th, params):
@@ -386,7 +386,7 @@ def simulate(
             # theta = 0 or pi crossed: snap onto the singular line under
             # equilibrium play, else mirror the frame.
             on_fl = kind == "fl_cross"
-            if snap_to_fl and (r < mu + tol if on_fl else man_eq):
+            if snap_to_fl and (r < mu + tol if on_fl else slides(t, r)):
                 r, th = (min(r, mu), _PI) if on_fl else (r, 0.0)
                 if on_fl:
                     segment = "fl"

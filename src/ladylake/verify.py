@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import classical, focal, solution, universal
 from .model import ControlPair, DomainError, GameParams, LakeGameError, PolarState, rates
 
 _PI = math.pi
+_TRIBUTARIES = (solution.Region.FOCAL_TRIBUTARY, solution.Region.UNIVERSAL_TRIBUTARY)
 
 
 class GameTag(enum.Enum):
     CLASSICAL = "Classical"
-    MIN_TIME_FL = "MinTimeFL"
-    MIN_TIME_UL = "MinTimeUL"
+    MIN_TIME = "MinTime"
 
 
 @dataclass(frozen=True)
@@ -49,56 +49,35 @@ def costate_classical(state: PolarState, params: GameParams) -> Costate:
     return Costate(lam_r, 1.0, nu, GameTag.CLASSICAL)
 
 
-def costate_focal(
+def costate_min_time(
     state: PolarState, s: float, phase: focal.EntryCase, params: GameParams
 ) -> Costate:
-    """Min-time adjoints along a focal-line tributary with entry radius s.
+    """Min-time adjoints on the tributary with entry radius s, 0 <= s < mu.
 
-    lambda_r carries the phase sign: positive while heading inward,
-    negative after the closest approach (matching dV/dr < 0 when moving
-    outward shortens the remaining path).
+    The family's ends are the singular lines: s = 0 in phase One is the
+    universal line and its tributaries, lambda = (1/mu, 0, 0); s = r in
+    phase Two is the focal line, lambda_r = -1/sqrt(mu^2 - r^2) and
+    nu = -r^2/(mu^2 - r^2).  lambda_r carries the phase sign: positive
+    while heading inward, negative after the closest approach (matching
+    dV/dr < 0 when moving outward shortens the remaining path).
     """
     mu = params.mu
-    if not 0.0 < s < mu:
-        raise DomainError(f"entry radius must lie in (0, mu), got {s}")
+    if not 0.0 <= s < mu:
+        raise DomainError(f"entry radius must lie in [0, mu), got {s}")
     nu = -s * s / (mu * mu - s * s)
     mag = math.sqrt(max(0.0, mu * mu - s**4 / (state.r * state.r))) / (mu * mu - s * s)
     lam_r = mag if phase is focal.EntryCase.ONE else -mag
-    return Costate(lam_r, nu, nu, GameTag.MIN_TIME_FL)
+    return Costate(lam_r, nu, nu, GameTag.MIN_TIME)
 
 
-def costate_on_focal_line(r: float, params: GameParams) -> Costate:
-    """Tributary costate limit s -> r on the line itself."""
-    mu = params.mu
-    if not 0.0 < r < mu:
-        raise DomainError(f"focal line costate needs 0 < r < mu, got {r}")
-    nu = -r * r / (mu * mu - r * r)
-    return Costate(-1.0 / math.sqrt(mu * mu - r * r), nu, nu, GameTag.MIN_TIME_FL)
-
-
-def costate_universal(params: GameParams) -> Costate:
-    """Min-time adjoints on the universal line and its tributaries."""
-    return Costate(1.0 / params.mu, 0.0, 0.0, GameTag.MIN_TIME_UL)
-
-
-def hamiltonian_classical(
+def hamiltonian(
     state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
 ) -> float:
-    """The costate times the dynamics."""
-    if costate.game_tag is not GameTag.CLASSICAL:
-        raise DomainError(f"classical Hamiltonian needs a Classical costate, got {costate.game_tag}")
+    """The costate times the dynamics, plus the unit running cost of the
+    min-time game when the costate is a min-time one."""
     dr, dtheta = rates(state.r, controls.cos_psi, controls.sin_psi, controls.omega, params.mu)
-    return costate.lambda_r * dr + costate.lambda_theta * dtheta
-
-
-def hamiltonian_min_time(
-    state: PolarState, costate: Costate, controls: ControlPair, params: GameParams
-) -> float:
-    """The classical form plus the unit running cost of the min-time game."""
-    if costate.game_tag is GameTag.CLASSICAL:
-        raise DomainError("min-time Hamiltonian needs a min-time costate")
-    classical_form = replace(costate, game_tag=GameTag.CLASSICAL)
-    return hamiltonian_classical(state, classical_form, controls, params) + 1.0
+    h = costate.lambda_r * dr + costate.lambda_theta * dtheta
+    return h + 1.0 if costate.game_tag is GameTag.MIN_TIME else h
 
 
 def min_time_value(r: float, theta: float, params: GameParams) -> float:
@@ -119,35 +98,23 @@ def hji_sweep(
 
     The value gradient is approximated by central differences with step h
     and plugged into the min-time Hamiltonian with equilibrium controls.
-    Cells within a small band of the region boundaries (shore, barrier,
-    both singular lines, and the partition theta = r/mu) are skipped
-    because the value has kinks there.
+    A cell is used only when it and its four stencil points (r +- h,
+    theta +- h) lie in one tributary region by solution.region_of, since
+    the value has kinks on the region boundaries.
     """
     if n_r < 2 or n_theta < 2:
         raise ValueError("grid sizes must be >= 2")
-    mu = params.mu
-    band = 2.0 * h * (1.0 + 1.0 / mu)
     worst = 0.0
     worst_state = None
     n = 0
     for i in range(1, n_r + 1):
         r = i / (n_r + 1)
-        if r < band or r > 1.0 - band:
-            continue
         for j in range(1, n_theta + 1):
             theta = _PI * j / (n_theta + 1)
-            if theta < band or theta > _PI - band:
+            stencil = ((r, theta), (r + h, theta), (r - h, theta), (r, theta + h), (r, theta - h))
+            regions = {solution.region_of(rr, tt, params) for rr, tt in stencil}
+            if len(regions) > 1 or regions.pop() not in _TRIBUTARIES:
                 continue
-            if abs(theta - r / mu) < band:
-                continue
-            if r >= mu - band:
-                if r + h > 1.0:
-                    continue
-                try:
-                    if theta > classical.barrier_theta(max(r - h, mu), params) - band:
-                        continue
-                except DomainError:
-                    continue
             try:
                 v_rp = min_time_value(r + h, theta, params)
                 v_rm = min_time_value(r - h, theta, params)
@@ -158,8 +125,8 @@ def hji_sweep(
                 continue
             lam_r = (v_rp - v_rm) / (2.0 * h)
             lam_t = (v_tp - v_tm) / (2.0 * h)
-            cand = Costate(lam_r, lam_t, lam_t, GameTag.MIN_TIME_FL)
-            res = hamiltonian_min_time(PolarState(r, theta), cand, adv.controls, params)
+            cand = Costate(lam_r, lam_t, lam_t, GameTag.MIN_TIME)
+            res = hamiltonian(PolarState(r, theta), cand, adv.controls, params)
             n += 1
             if abs(res) > worst:
                 worst = abs(res)
@@ -182,9 +149,12 @@ def barrier_sweep(params: GameParams, n: int = 1000) -> float:
 def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float]]:
     """Exact-costate Hamiltonian along a recorded equilibrium trajectory.
 
-    Samples roughly every 0.01 time units and returns (t, H) pairs;
-    the costate family is chosen per sample from the state's region, with
-    the tributary phase read off the sign of the recorded radial control.
+    Samples roughly every 0.01 time units and returns (t, H) pairs.  Per
+    sample it picks the classical costate, or the min-time member (s,
+    phase): (0, One) on the universal regions, (r, Two) on the focal line,
+    and on a focal tributary its entry radius with the phase read off the
+    sign of the recorded radial control.  Samples within eps_r of the
+    centre, where theta and its rate are undefined, are skipped.
     """
     out = []
     next_t = 0.0
@@ -194,6 +164,8 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
             continue
         next_t = t + 0.01
         r, theta = traj.r[k], traj.theta[k]
+        if r < params.eps_r:
+            continue
         sign = -1.0 if traj.mirror[k] else 1.0
         controls = ControlPair(
             traj.cos_psi[k],
@@ -204,20 +176,19 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
         region = solution.region_of(state.r, state.theta, params)
         if region in solution.CLASSICAL_REGIONS:
             co = costate_classical(state, params)
-            out.append((t, hamiltonian_classical(state, co, controls, params)))
-            continue
-        if region is solution.Region.ANTIPODAL_POINT:
-            # The terminal point carries the costate of the arc it ends.
-            region = solution.min_time_region(state.r, state.theta, params)
-        if region is solution.Region.FOCAL_LINE:
-            if r >= params.mu:
-                continue  # at E itself, where the focal-line costate is undefined
-            co = costate_on_focal_line(r, params)
-        elif region in solution.UNIVERSAL_REGIONS:
-            co = costate_universal(params)
         else:
-            entry = focal.solve_entry(state, params)
-            phase = focal.EntryCase.ONE if controls.cos_psi < 0.0 else focal.EntryCase.TWO
-            co = costate_focal(state, entry.s, phase, params)
-        out.append((t, hamiltonian_min_time(state, co, controls, params)))
+            if region is solution.Region.ANTIPODAL_POINT:
+                # The terminal point carries the costate of the arc it ends.
+                region = solution.min_time_region(state.r, state.theta, params)
+            if region is solution.Region.FOCAL_LINE:
+                if r >= params.mu:
+                    continue  # at E itself, where s = r leaves the family
+                s, phase = r, focal.EntryCase.TWO
+            elif region in solution.UNIVERSAL_REGIONS:
+                s, phase = 0.0, focal.EntryCase.ONE
+            else:
+                s = focal.solve_entry(state, params).s
+                phase = focal.EntryCase.ONE if controls.cos_psi < 0.0 else focal.EntryCase.TWO
+            co = costate_min_time(state, s, phase, params)
+        out.append((t, hamiltonian(state, co, controls, params)))
     return out

@@ -514,8 +514,23 @@ class TestNonEquilibriumLady:
         assert abs(math.remainder(math.atan2(y, x) - (1.0 + math.pi), 2.0 * math.pi)) <= 1e-9
 
     def test_tangency_in_a_cut_step_keeps_events_in_time_order(self):
-        # The step that passes the tangency circle is cut at the origin; the
-        # tangency is stamped at the end of the step taken, not of the trial.
+        # The step that passes the tangency circle is cut at the focal line;
+        # the tangency is stamped at the end of the step taken, not of the trial.
+        traj = sim.simulate(
+            PolarState(0.3038311130647989, 0.3666984247258773),
+            sim.StrategySpec.equilibrium("lady"),
+            sim.StrategySpec.equilibrium("man"),
+            dt=1e-3,
+            params=GameParams(0.8726383548854478),
+        )
+        assert [k for _, k in traj.events] == ["tangency", "fl_entry", "reached_e"]
+        times = [t for t, _ in traj.events]
+        assert times == sorted(times)
+
+    def test_snapping_lady_slides_where_both_frames_point_into_theta_zero(self):
+        # Near the centre the perturbed lady's theta' < 0 on theta = 0 in both
+        # frames, so she slides along the line instead of being reflected twice
+        # per step.
         traj = sim.simulate(
             PolarState(0.40792812629630315, 0.6548490089329155),
             sim.StrategySpec.perturbed(0.05),
@@ -524,10 +539,70 @@ class TestNonEquilibriumLady:
             t_max=8.0,
             params=GameParams(0.5823196650836735),
         )
-        kinds = [k for _, k in traj.events]
-        assert kinds[-4:] == ["tangency", "origin_passage", "fl_entry", "reached_e"]
+        assert [k for _, k in traj.events] == ["ul_entry", "origin_passage", "reached_e"]
         times = [t for t, _ in traj.events]
         assert times == sorted(times)
+
+
+_RUN_SET_PAIRS = (
+    (sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")),
+    (sim.StrategySpec.perturbed(0.05), sim.StrategySpec.equilibrium("man")),
+    (sim.StrategySpec.perturbed(-0.05), sim.StrategySpec.equilibrium("man")),
+    (sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.constant_omega(0.8)),
+    (sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.switching_omega(0.2)),
+    (sim.StrategySpec.fixed_heading(0.6, 0.8), sim.StrategySpec.constant_omega(0.0)),
+)
+
+# Outcome and event kinds per start, for the pairs above in order.
+_E_ONLY = ("reached_e: reached_e",) * 5
+_TFR = "reached_e: tangency fl_entry reached_e"
+_SHORE = ("reached_shore: shore_exit",) * 5
+_RUN_SET = {
+    (0.15, math.pi): _E_ONLY + ("reached_shore: reflection shore_exit",),
+    (0.24, math.pi): _E_ONLY + ("reached_shore: reflection barrier_crossing shore_exit",),
+    (0.2, 1.0): (
+        _TFR, _TFR, "reached_e: fl_entry reached_e", _TFR, _TFR,
+        "reached_shore: barrier_crossing reflection shore_exit",
+    ),
+    (0.05, 2.5): ("reached_e: fl_entry reached_e",) * 5
+    + ("reached_shore: reflection reflection shore_exit",),
+    (0.25, 3.0): (_TFR,) * 5 + ("reached_shore: reflection barrier_crossing shore_exit",),
+    (0.4, 2.0): (_TFR,) * 5 + ("reached_shore: barrier_crossing reflection shore_exit",),
+    (0.5, 2.0): (_TFR,) * 5 + ("reached_shore: barrier_crossing shore_exit",),
+    (0.15, 0.3): (
+        "reached_e: ul_entry origin_passage reached_e",
+        "reached_e: ul_entry origin_passage reached_e",
+        "reached_e: ul_entry ul_entry ul_entry tangency fl_entry reached_e",
+        "reached_e: reflection tangency fl_entry reached_e",
+        _TFR,
+        "reached_shore: barrier_crossing shore_exit",
+    ),
+    (0.05, 0.1): (
+        "reached_e: ul_entry origin_passage reached_e",
+        "reached_e: ul_entry origin_passage reached_e",
+        _TFR,
+        "reached_e: reflection tangency fl_entry reached_e",
+        "reached_e: reflection tangency fl_entry reached_e",
+        "reached_shore: barrier_crossing reflection shore_exit",
+    ),
+    (0.5, 2.8): _SHORE + ("reached_shore: reflection shore_exit",),
+    (0.8, 3.0): _SHORE + ("reached_shore: reflection shore_exit",),
+}
+
+
+class TestRunSet:
+    """Outcomes and event sequences of a fixed set of closed-loop runs at
+    mu = 0.3, dt = 1e-3: eleven starts, each under equilibrium play, the
+    lady perturbed by +-0.05, the man at constant 0.8 or switching every
+    0.2, and a fixed-heading lady against a still man."""
+
+    @pytest.mark.parametrize("start", list(_RUN_SET), ids=str)
+    def test_outcomes_and_events(self, params, start):
+        got = []
+        for lady, man in _RUN_SET_PAIRS:
+            traj = sim.simulate(PolarState(*start), lady, man, dt=1e-3, t_max=20.0, params=params)
+            got.append(f"{traj.outcome}: " + " ".join(k for _, k in traj.events))
+        assert tuple(got) == _RUN_SET[start]
 
 
 class TestLadyMatchesAdvise:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,29 +26,45 @@ class TestCostates:
         assert co.lambda_r == pytest.approx(0.0, abs=1e-12)
 
     def test_focal_on_line_limit(self, params):
-        # The tributary costate tends to the on-line form as s -> r.
+        # The s = r member in phase Two is the focal line's costate, and the
+        # tributary costate tends to it as s -> r.
+        for r in (1e-6, 0.15, 0.29):
+            on = verify.costate_min_time(
+                PolarState(r, math.pi), r, focal.Phase.POST_TANGENT, params
+            )
+            assert on.lambda_r == pytest.approx(-1.0 / math.sqrt(MU**2 - r**2), rel=1e-12)
+            assert on.nu == pytest.approx(-(r**2) / (MU**2 - r**2), rel=1e-12)
+            assert on.lambda_theta == on.nu
         r = 0.15
-        near = verify.costate_focal(
+        near = verify.costate_min_time(
             PolarState(r, math.pi), r - 1e-9, focal.Phase.POST_TANGENT, params
         )
-        on = verify.costate_on_focal_line(r, params)
+        on = verify.costate_min_time(PolarState(r, math.pi), r, focal.Phase.POST_TANGENT, params)
         assert near.lambda_r == pytest.approx(on.lambda_r, abs=1e-5)
         assert near.nu == pytest.approx(on.nu, abs=1e-6)
 
     def test_focal_phase_sign(self, params):
         s = 0.15
-        pre = verify.costate_focal(
+        pre = verify.costate_min_time(
             PolarState(0.5, 2.0), s, focal.Phase.PRE_TANGENT, params
         )
-        post = verify.costate_focal(
+        post = verify.costate_min_time(
             PolarState(0.5, 2.0), s, focal.Phase.POST_TANGENT, params
         )
         assert pre.lambda_r > 0.0 > post.lambda_r
         assert pre.lambda_r == -post.lambda_r
 
     def test_universal(self, params):
-        co = verify.costate_universal(params)
+        co = verify.costate_min_time(
+            PolarState(0.4, 0.5), 0.0, focal.Phase.PRE_TANGENT, params
+        )
         assert (co.lambda_r, co.lambda_theta, co.nu) == (1.0 / MU, 0.0, 0.0)
+
+
+    def test_min_time_domain(self, params):
+        for s in (-1e-9, MU):
+            with pytest.raises(DomainError):
+                verify.costate_min_time(PolarState(0.5, 2.0), s, focal.Phase.ONE, params)
 
 
 class TestHamiltonians:
@@ -55,7 +72,7 @@ class TestHamiltonians:
         state = PolarState(0.5, 2.5)
         co = verify.costate_classical(state, params)
         c = classical.classical_heading(state, params)
-        assert abs(verify.hamiltonian_classical(state, co, c, params)) < 1e-10
+        assert abs(verify.hamiltonian(state, co, c, params)) < 1e-10
 
     def test_classical_man_deviation_raises_h(self, params):
         # The maximizing man at omega < 1 leaves a positive residual.
@@ -65,46 +82,50 @@ class TestHamiltonians:
         from ladylake.model import ControlPair
 
         slow = ControlPair(c.cos_psi, c.sin_psi, 0.5)
-        assert verify.hamiltonian_classical(state, co, slow, params) > 0.1
+        assert verify.hamiltonian(state, co, slow, params) > 0.1
 
     def test_min_time_tributary_vanishes(self, params):
         state = PolarState(0.05, 2.5)
         entry = focal.solve_entry(state, params)
-        co = verify.costate_focal(state, entry.s, focal.Phase.PRE_TANGENT, params)
+        co = verify.costate_min_time(state, entry.s, focal.Phase.PRE_TANGENT, params)
         c = focal.tributary_heading(state, entry.s, focal.Phase.PRE_TANGENT, params)
-        assert abs(verify.hamiltonian_min_time(state, co, c, params)) < 1e-10
+        assert abs(verify.hamiltonian(state, co, c, params)) < 1e-10
 
     def test_min_time_universal_vanishes(self, params):
         state = PolarState(0.4, 0.5)
-        co = verify.costate_universal(params)
+        co = verify.costate_min_time(state, 0.0, focal.Phase.PRE_TANGENT, params)
         c = universal.ul_tributary_heading(state, params)
-        assert abs(verify.hamiltonian_min_time(state, co, c, params)) < 1e-12
+        assert abs(verify.hamiltonian(state, co, c, params)) < 1e-12
 
     def test_lady_heading_is_minimizer(self, params):
         # Rotating the equilibrium heading never lowers the Hamiltonian.
         state = PolarState(0.05, 2.5)
         entry = focal.solve_entry(state, params)
-        co = verify.costate_focal(state, entry.s, focal.Phase.PRE_TANGENT, params)
+        co = verify.costate_min_time(state, entry.s, focal.Phase.PRE_TANGENT, params)
         c = focal.tributary_heading(state, entry.s, focal.Phase.PRE_TANGENT, params)
-        h0 = verify.hamiltonian_min_time(state, co, c, params)
+        h0 = verify.hamiltonian(state, co, c, params)
         psi0 = math.atan2(c.sin_psi, c.cos_psi)
         rng = np.random.default_rng(3)
         from ladylake.model import ControlPair
 
         for d in rng.uniform(-math.pi, math.pi, 100):
             cc = ControlPair(math.cos(psi0 + d), math.sin(psi0 + d), c.omega)
-            assert verify.hamiltonian_min_time(state, co, cc, params) >= h0 - 1e-12
+            assert verify.hamiltonian(state, co, cc, params) >= h0 - 1e-12
 
-    def test_tag_mismatch_rejected(self, params):
+    def test_running_cost_follows_tag(self, params):
+        # The min-time tag adds the unit running cost; the classical tag none.
         state = PolarState(0.5, 2.5)
-        co = verify.costate_universal(params)
         c = classical.classical_heading(state, params)
-        with pytest.raises(DomainError):
-            verify.hamiltonian_classical(state, co, c, params)
-        with pytest.raises(DomainError):
-            verify.hamiltonian_min_time(
-                state, verify.costate_classical(state, params), c, params
-            )
+        assert [tag.name for tag in verify.GameTag] == ["CLASSICAL", "MIN_TIME"]
+        for co in (
+            verify.costate_classical(state, params),
+            verify.costate_min_time(state, 0.0, focal.Phase.PRE_TANGENT, params),
+        ):
+            h = [
+                verify.hamiltonian(state, replace(co, game_tag=tag), c, params)
+                for tag in (verify.GameTag.CLASSICAL, verify.GameTag.MIN_TIME)
+            ]
+            assert h[1] - h[0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMinTimeValue:
@@ -118,7 +139,7 @@ class TestMinTimeValue:
         # d(value)/d(theta) equals the terminal multiplier nu.
         r, theta = 0.05, 2.5
         entry = focal.solve_entry(PolarState(r, theta), params)
-        co = verify.costate_focal(
+        co = verify.costate_min_time(
             PolarState(r, theta), entry.s, focal.Phase.PRE_TANGENT, params
         )
         h = 1e-6
@@ -127,6 +148,32 @@ class TestMinTimeValue:
             - verify.min_time_value(r, theta - h, params)
         ) / (2 * h)
         assert abs(fd - co.nu) / abs(co.nu) < 1e-3
+
+
+def _band_filter_count(params, n_r, n_theta, h=1e-5):
+    """Cells kept by a band of 2h(1 + 1/mu) around the shore, the barrier,
+    both singular lines and the partition theta = r/mu."""
+    mu = params.mu
+    band = 2.0 * h * (1.0 + 1.0 / mu)
+    kept = 0
+    for i in range(1, n_r + 1):
+        r = i / (n_r + 1)
+        if r < band or r > 1.0 - band:
+            continue
+        for j in range(1, n_theta + 1):
+            theta = math.pi * j / (n_theta + 1)
+            if theta < band or theta > math.pi - band or abs(theta - r / mu) < band:
+                continue
+            if r >= mu - band:
+                if r + h > 1.0:
+                    continue
+                try:
+                    if theta > classical.barrier_theta(max(r - h, mu), params) - band:
+                        continue
+                except DomainError:
+                    continue
+            kept += 1
+    return kept
 
 
 class TestHjiSweep:
@@ -143,6 +190,22 @@ class TestHjiSweep:
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
             verify.hji_sweep(params, n_r=1)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.6, 0.9])
+    def test_keeps_the_band_filter_cells(self, mu, monkeypatch):
+        # Stubbed solves make the count cheap: the cells whose stencil lies in
+        # one tributary region are the cells the band filter keeps.
+        from ladylake.model import ControlPair
+
+        monkeypatch.setattr(verify, "min_time_value", lambda r, theta, p: r + theta)
+        advice = solution.StrategyAdvice(
+            solution.Region.FOCAL_TRIBUTARY, ControlPair(1.0, 0.0, 1.0), 0.0,
+            solution.ValueKind.TIME_TO_E,
+        )
+        monkeypatch.setattr(solution, "advise", lambda *args, **kwargs: advice)
+        p = GameParams(mu)
+        for n in (9, 10, 11, 50):
+            assert verify.hji_sweep(p, n, n).n_samples == _band_filter_count(p, n, n)
 
 
 class TestBarrierSweep:
@@ -199,3 +262,18 @@ class TestTrajectoryHamiltonians:
         samples = verify.trajectory_hamiltonians(traj, params)
         assert [t for t, _ in samples] == [0.0]
         assert abs(samples[0][1]) < 1e-12
+
+    @pytest.mark.parametrize("r0, theta0", [(0.0, math.pi), (0.0, 1.0), (1e-10, 2.0)])
+    def test_run_from_the_centre(self, params, r0, theta0):
+        # Records within eps_r of the centre, where theta is undefined, are
+        # skipped; the rest of the run is an equilibrium path.
+        traj = sim.simulate(
+            PolarState(r0, theta0),
+            sim.StrategySpec.equilibrium("lady"),
+            sim.StrategySpec.equilibrium("man"),
+            dt=1e-3,
+            params=params,
+        )
+        samples = verify.trajectory_hamiltonians(traj, params)
+        assert samples
+        assert max(abs(hv) for _, hv in samples) < 1e-6
