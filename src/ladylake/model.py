@@ -65,7 +65,6 @@ class GameParams:
     # Snap box of the antipodal point, looser than tol_event for states given with
     # fewer digits of pi; the value jumps at its edge (0 to 0.0328 at mu = r = 0.3).
     e_snap: ClassVar[float] = 1e-6
-    tangency_slack: ClassVar[float] = 1e-7  # band at r = s^2/mu where a tributary turns outward
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import classical, focal, solution
-from .model import DomainError, GameParams, LakeGameError, PolarState, classical_drift, rates
+from .model import (DomainError, GameParams, LakeGameError, PolarState, RegionError,
+                    classical_drift, rates)
 
 _PI = math.pi
-
-_TANGENCY_SLACK = GameParams.tangency_slack
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,13 @@ class _Lady:
     """State-feedback equilibrium heading, rotated by delta_psi off the
     focal line (0 for equilibrium play).
 
-    On a focal tributary, focal.entry_root refines the last entry radius.
-    The case of the path ahead (One until the closest approach, Two after
-    it) is kept, as one re-picked from the state chatters on the tangency
-    circle, and so is the radius where that case has no root.  On the focal
-    line simulate plays her reactive control in closed form instead.
+    On a focal tributary, focal.entry_root refines the last entry radius in
+    the kept case of the path ahead (one re-picked from the state chatters on
+    the tangency circle): One until it has no root, which by solve_entry's
+    proof is where she passes that circle, then Two.  Where the kept case has
+    no root the last radius stands, and a solve at a trial state past the
+    centre, where theta means nothing, is not kept.  On the focal line
+    simulate plays her reactive control in closed form instead.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -127,15 +128,14 @@ class _Lady:
         self.sin_d = math.sin(delta_psi)
         self.s: float | None = None
         self.case: focal.EntryCase | None = None
-        self.tangency_passed = False
 
     def reset(self) -> None:
         self.s = None
         self.case = None
 
-    def __call__(self, r: float, th: float) -> tuple[float, float]:
+    def __call__(self, r_in: float, th: float) -> tuple[float, float]:
         mu = self.params.mu
-        r = min(max(r, self.params.eps_r), 1.0)
+        r = min(max(r_in, self.params.eps_r), 1.0)
         th = min(max(th, 0.0), _PI)
         region = solution.region_of(r, th, self.params)
         if region in solution.CLASSICAL_REGIONS:
@@ -145,12 +145,12 @@ class _Lady:
             c, s = -1.0, 0.0
         else:
             found = focal.entry_root(r, th, self.params, self.case, self.s)
-            self.s, self.case = found or (self.s, self.case)
-            a = focal.tangency_radius(self.s, self.params)
-            if self.case is focal.EntryCase.ONE and r <= a + _TANGENCY_SLACK:
-                self.case = focal.EntryCase.TWO
-                self.tangency_passed = True
-            c, s = focal.tributary_heading_at(max(r, a), self.s, self.case, mu)
+            if found is None and self.case is focal.EntryCase.ONE:
+                found = focal.entry_root(r, th, self.params, focal.EntryCase.TWO, self.s)
+            entry = found or (self.s, self.case)
+            if r_in >= self.params.eps_r:
+                self.s, self.case = entry
+            c, s = focal.tributary_heading_at(r, *entry, mu)
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
 
@@ -297,12 +297,9 @@ def simulate(
         return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
 
     t = 0.0
+    case_before = None  # the lady's case before the last record
     k1 = record(t, r, th, alpha)
-    end = None
-    if at_e(r, th):
-        end = "reached_e"
-    elif r >= 1.0 - tol:
-        end = "shore_exit"
+    end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
     while end is None and t < t_max - params.slack:
         h = min(dt, t_max - t)
         if segment:
@@ -330,8 +327,7 @@ def simulate(
         # Snapping play slides on pi, and on 0 by slides(); else mirror.  Read
         # before the trial step, whose stages move the lady's entry memory.
         leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or slides(t, r)))
-        s_event = lady_s.s
-        case_event = lady_s.case
+        s_event, case_event = lady_s.s, lady_s.case
         try:
             r1, th1, al1 = step(h)
         except LakeGameError:
@@ -361,9 +357,9 @@ def simulate(
         r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
         if side and r >= mu and side is not classical.barrier_side(min(r, 1.0), th, params):
             traj.events.append((t + 0.5 * sigma, "barrier_crossing"))
-        if lady_s.tangency_passed:
+        # She turns outward in the step's stages, or at the record that began it.
+        if case_before is focal.EntryCase.ONE and lady_s.case is focal.EntryCase.TWO:
             traj.events.append((t + sigma, "tangency"))
-            lady_s.tangency_passed = False
         if leaves_line and not 0.0 <= th <= _PI:
             th, sign = (-th if th < 0.0 else 2.0 * _PI - th), -sign
             traj.events.append((t, "reflection"))
@@ -396,6 +392,7 @@ def simulate(
                 sign = -sign
                 traj.events.append((t, "reflection"))
             end = "reached_e" if at_e(r, th) else None
+        case_before = lady_s.case
         k1 = record(t, r, th, alpha)
 
     if end is not None:
@@ -419,15 +416,17 @@ class DeviationRow:
 def deviation_report(
     initial: PolarState, params: GameParams, dt: float = 1e-3
 ) -> tuple[float, list[DeviationRow]]:
-    """Saddle check around equilibrium play from a below-barrier start.
-
-    L-deviations should not arrive earlier than equilibrium, M-deviations
-    should not make feedback-L arrive later; both margins are reported so
-    that a pass is margin >= -tolerance.
+    """Saddle check around equilibrium play from a below-barrier start, whose
+    min-time value is t_eq (RegionError on or above the barrier, where the
+    value is a terminal angle).  L-deviations should not arrive earlier than
+    t_eq, M-deviations should not make feedback-L arrive later; a pass is
+    margin >= -tolerance on every row.
     """
+    adv = solution.advise(initial, params, omega_now=1.0)
+    if adv.value_kind is not solution.ValueKind.TIME_TO_E:
+        raise RegionError(f"no time to E from a start in region {adv.region.value}")
+    t_eq, t_max = adv.value, 20.0
     eq_lady, eq_man = StrategySpec.equilibrium("lady"), StrategySpec.equilibrium("man")
-    t_max = 20.0
-    t_eq = simulate(initial, eq_lady, eq_man, dt, t_max, params).t_final
     runs = (
         ("lady", "delta_psi=+0.05", StrategySpec.perturbed(0.05), eq_man),
         ("lady", "delta_psi=-0.05", StrategySpec.perturbed(-0.05), eq_man),

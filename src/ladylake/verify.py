@@ -64,8 +64,9 @@ def costate_min_time(
     mu = params.mu
     if not 0.0 <= s < mu:
         raise DomainError(f"entry radius must lie in [0, mu), got {s}")
-    nu = -s * s / (mu * mu - s * s)
-    mag = math.sqrt(max(0.0, mu * mu - s**4 / (state.r * state.r))) / (mu * mu - s * s)
+    p = s / mu  # in p, neither form cancels near s = mu, and s = 0 gives 1/mu exactly
+    nu = -p * p / (1.0 - p * p)
+    mag = math.sqrt(max(0.0, 1.0 - (p * s / state.r) ** 2)) / (mu * (1.0 - p * p))
     lam_r = mag if phase is focal.EntryCase.ONE else -mag
     return Costate(lam_r, nu, nu, GameTag.MIN_TIME)
 

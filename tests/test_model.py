@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ladylake import sim, solution
+from ladylake import solution
 from ladylake.model import (
     CartesianPose,
     ControlPair,
@@ -39,7 +39,7 @@ class TestGameParams:
             GameParams(0.3, eps_r=1e-9)
         p = GameParams(0.3)
         assert (p.eps_r, p.tol_root, p.tol_event) == (1e-9, 1e-12, 1e-9)
-        assert (solution.E_SNAP, sim._TANGENCY_SLACK) == (1e-6, 1e-7)
+        assert solution.E_SNAP == 1e-6
 
 
 class TestPolarState:

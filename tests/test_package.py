@@ -7,6 +7,7 @@ import tokenize
 from pathlib import Path
 
 import ladylake
+from ladylake.model import GameParams
 
 
 def test_version_matches_pyproject():
@@ -76,3 +77,15 @@ def test_tolerances_live_in_game_params():
             if not any(lo <= tok.start and tok.end <= hi for lo, hi in spans):
                 stray.append(f"{path.name}:{tok.start[0]} {tok.string}")
     assert stray == []
+
+
+def test_every_tolerance_has_a_reader():
+    # A constant of the table that no other module reads is a dead knob.
+    table = [n for n, a in GameParams.__annotations__.items() if "ClassVar" in str(a)]
+    read = set()
+    for path in Path(ladylake.__file__).parent.glob("*.py"):
+        if path.name != "model.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "eps_r" in table
+    assert [n for n in table if n not in read] == []

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ladylake import classical, focal, sim, solution
-from ladylake.model import DomainError, GameParams, PolarState, rates
+from ladylake.model import DomainError, GameParams, PolarState, RegionError, rates
 
 MU = 0.3
 
@@ -436,8 +436,9 @@ class TestNonEquilibriumLady:
         assert traj.theta_f == pytest.approx(theta_f, abs=1e-6)
 
     def test_fixed_heading_off_unit_by_1e10_runs(self, params):
-        # Within StrategySpec's 1e-9 unit check but over the recorded
-        # ControlPair's 1e-12: the spec stores the heading normalised.
+        # Within StrategySpec's 1e-9 unit check but over ControlPair's 1e-12,
+        # which verify.trajectory_hamiltonians builds from the recorded
+        # controls: the spec stores the heading normalised.
         lady = sim.StrategySpec.fixed_heading(0.6, 0.8000000001)
         assert math.hypot(*lady.heading) == pytest.approx(1.0, abs=1e-15)
         traj = sim.simulate(
@@ -560,10 +561,7 @@ _SHORE = ("reached_shore: shore_exit",) * 5
 _RUN_SET = {
     (0.15, math.pi): _E_ONLY + ("reached_shore: reflection shore_exit",),
     (0.24, math.pi): _E_ONLY + ("reached_shore: reflection barrier_crossing shore_exit",),
-    (0.2, 1.0): (
-        _TFR, _TFR, "reached_e: fl_entry reached_e", _TFR, _TFR,
-        "reached_shore: barrier_crossing reflection shore_exit",
-    ),
+    (0.2, 1.0): (_TFR,) * 5 + ("reached_shore: barrier_crossing reflection shore_exit",),
     (0.05, 2.5): ("reached_e: fl_entry reached_e",) * 5
     + ("reached_shore: reflection reflection shore_exit",),
     (0.25, 3.0): (_TFR,) * 5 + ("reached_shore: reflection barrier_crossing shore_exit",),
@@ -606,10 +604,9 @@ class TestRunSet:
 
 
 class TestLadyMatchesAdvise:
-    """The equilibrium lady plays advise's heading, apart from the two
-    differences the simulator makes on purpose: in case One within
-    _TANGENCY_SLACK of the tangency circle she already turns outward, and
-    inside the E_SNAP box she keeps the tributary heading."""
+    """The equilibrium lady plays advise's heading, apart from the one
+    difference the simulator makes on purpose: inside the E_SNAP box she
+    keeps the tributary heading."""
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.6, 0.9])
     def test_heading_matches_advise(self, mu):
@@ -622,15 +619,62 @@ class TestLadyMatchesAdvise:
                 ):
                     continue
                 adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
-                e = adv.entry
-                if e and e.case is focal.EntryCase.ONE and r - e.s**2 / mu <= sim._TANGENCY_SLACK:
-                    continue
                 c, s = sim._Lady(params, 0.0)(r, theta)
                 assert c == pytest.approx(adv.controls.cos_psi, abs=1e-6), (r, theta)
                 assert s == pytest.approx(adv.controls.sin_psi, abs=1e-6), (r, theta)
 
 
+_EQ_LADY, _EQ_MAN = sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")
+
+
+class TestTangencyAtCoarseSteps:
+    """Runs whose tributary passes the tangency circle land, at dt = 1e-3,
+    within 1e-3 of their dt = 2e-5 arrival time (given to 5 decimals)."""
+
+    @pytest.mark.parametrize(
+        "start,mu,lady,man,t_fine",
+        [
+            ((0.251084, 0.012860), 0.580211, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), 2.00354),
+            ((0.931206, 0.178588), 0.309144, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), 4.58300),
+            ((0.859273, 1.198299), 0.575014, _EQ_LADY, sim.StrategySpec.constant_omega(0.8), 2.65345),
+            ((0.2, 1.0), 0.3, sim.StrategySpec.perturbed(-0.05), _EQ_MAN, 2.24045),
+        ],
+        ids=["switching-0.58", "switching-0.31", "constant-0.58", "perturbed-0.3"],
+    )
+    def test_arrival_matches_fine_step(self, start, mu, lady, man, t_fine):
+        traj = sim.simulate(PolarState(*start), lady, man, dt=1e-3, params=GameParams(mu))
+        assert traj.outcome == "reached_e"
+        assert traj.t_final == pytest.approx(t_fine, abs=1e-3)
+
+    def test_solve_past_the_centre_is_not_kept(self):
+        # A trial stage lands past the centre, where case One has no root at the
+        # clamped radius; a lady who kept the case Two solved there would swim
+        # radially outward and arrive 2.66 late.
+        traj = sim.simulate(
+            PolarState(0.46553701925106367, 0.07828081730463037),
+            _EQ_LADY,
+            sim.StrategySpec.switching_omega(0.2),
+            dt=1e-3,
+            params=GameParams(0.18678608119445428),
+        )
+        assert traj.outcome == "reached_e"
+        assert traj.t_final == pytest.approx(4.06315, abs=1e-3)
+
+
 class TestDeviationReport:
+    def test_start_above_the_barrier_raises(self, params):
+        # Its value is a terminal angle, so there is no t_eq to compare with.
+        with pytest.raises(RegionError):
+            sim.deviation_report(PolarState(0.8, 3.0), params)
+
+    def test_universal_tributary_start_against_fast_man(self, params):
+        # From here an RK4 stage lands past the centre; the lady must not turn
+        # outward there and swim to the shore against constant_omega=0.8.
+        _, rows = sim.deviation_report(PolarState(0.0557, 0.127), params, dt=1e-3)
+        assert all(row.margin >= -1e-3 for row in rows)
+        fast = next(row for row in rows if row.label == "constant_omega=0.8")
+        assert fast.outcome == "reached_e"
+
     def test_saddle_margins(self, params):
         t_eq, rows = sim.deviation_report(PolarState(0.4, 2.0), params)
         predicted = focal.solve_entry(PolarState(0.4, 2.0), params).total_time

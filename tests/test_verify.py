@@ -60,6 +60,12 @@ class TestCostates:
         )
         assert (co.lambda_r, co.lambda_theta, co.nu) == (1.0 / MU, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu", [0.1, 0.2])
+    def test_universal_member_is_exactly_one_over_mu(self, mu):
+        # Written in p = s/mu, the s = 0 member cancels nothing: 1/mu to the
+        # last bit, not mu/mu^2.
+        co = verify.costate_min_time(PolarState(0.4, 0.5), 0.0, focal.Phase.ONE, GameParams(mu))
+        assert co.lambda_r == 1.0 / mu
 
     def test_min_time_domain(self, params):
         for s in (-1e-9, MU):
