@@ -11,7 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import ControlPair, DomainError, GameParams, PolarState, RegionError, classical_drift
+from .model import (ControlPair, DomainError, GameParams, PolarState, RegionError, Segment,
+                    classical_drift)
 from .rootfind import bisect
 
 
@@ -54,6 +55,23 @@ def classical_value(state: PolarState, params: GameParams) -> float:
     if state.r < mu - params.slack:
         raise RegionError(f"classical value undefined for r = {state.r} < mu = {mu}")
     return state.theta - classical_drift(1.0, mu) + classical_drift(max(state.r, mu), mu)
+
+
+def path_segment(t0: float, r0: float, th0: float, params: GameParams) -> Segment:
+    """Equilibrium play from r0 >= mu to the shore: sin psi = mu/r keeps L on
+    a tangent to the mu-circle, so r = hypot(mu, u) with u = sqrt(r0^2 - mu^2)
+    + mu (t - t0), and theta + classical_drift(r) holds.  The shore is reached
+    at u = sqrt(1 - mu^2), or at t0 from r0 >= 1 - tol_event."""
+    mu = params.mu
+    u0, v = math.sqrt(max(0.0, r0 * r0 - mu * mu)), th0 + classical_drift(r0, mu)
+    t1 = t0 if r0 >= 1.0 - params.tol_event else t0 + (math.sqrt(1.0 - mu * mu) - u0) / mu
+
+    def state(t: float):
+        r = r0 if t <= t0 else 1.0 if t >= t1 else math.hypot(mu, u0 + mu * (t - t0))
+        th = th0 if t <= t0 else v - classical_drift(r, mu)
+        return (r, th, *classical_heading_at(r, mu))
+
+    return Segment("classical", t0, t1, state, lambda t: 1.0)
 
 
 def escape_angle(params: GameParams) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .model import (
     NoRootError,
     PolarState,
     RegionError,
+    Segment,
 )
 from .rootfind import bisect, grid_brackets
 
@@ -35,11 +37,6 @@ class EntryCase(enum.Enum):
 
     ONE = "One"
     TWO = "Two"
-    PRE_TANGENT = "One"
-    POST_TANGENT = "Two"
-
-
-Phase = EntryCase
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,25 @@ def fl_heading_at(r: float, omega: float, mu: float) -> tuple[float, float]:
     omega r/mu, clipped to [-1, 1]."""
     sin_psi = min(1.0, max(-1.0, omega * r / mu))
     return math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi)), sin_psi
+
+
+def line_segment(
+    t0: float, r0: float, th0: float, omega: Callable[[float], float], params: GameParams
+) -> Segment:
+    """L on the line under fl_control: theta holds and r = (mu/w) sin(phi0 +
+    w (t - t0)), phi0 = asin(w r0/mu), with w = |omega| read at t0, which
+    cannot change on the line.  E is reached at t0 + (asin w - phi0)/w,
+    t0 + (mu - r0)/mu for w = 0, or t0 itself from within tol_event of mu."""
+    mu, w = params.mu, abs(omega(t0))
+    phi0 = math.asin(min(1.0, w * r0 / mu))
+    t1 = t0 if mu - r0 <= params.tol_event else t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
+
+    def state(t: float):
+        r = (r0 if t <= t0 else mu if t >= t1
+             else mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
+        return (r, th0, *fl_heading_at(r, omega(t), mu))
+
+    return Segment("focal_line", t0, t1, state, omega)
 
 
 def time_on_focal_line(s: float, params: GameParams) -> float:
@@ -129,6 +145,35 @@ def tributary_heading_at(r: float, s: float, phase: EntryCase, mu: float) -> tup
     sin_psi = min(1.0, s * s / (mu * r))
     cos_psi = math.sqrt(max(0.0, 1.0 - sin_psi * sin_psi))
     return (-cos_psi if phase is EntryCase.ONE else cos_psi), sin_psi
+
+
+def tributary_segment(
+    t0: float, r0: float, th0: float, params: GameParams
+) -> tuple[Segment, float | None]:
+    """L's straight path tangent to r = a = s^2/mu, with (s, case) from one
+    entry_root: d = d0 + mu (t - t0) with d0 = -leg_r in case One and +leg_r
+    in case Two, r = hypot(a, d), theta = th0 - (t - t0) + atan2(d, a) -
+    atan2(d0, a), and the heading is (d, a)/r.  She enters the focal line at
+    t0 + (leg_s - d0)/mu; returned with the time t0 - d0/mu at which she
+    touches the circle, or None in case Two."""
+    mu = params.mu
+    s, case = entry_root(r0, th0, params)
+    a = s * s / mu
+    leg_r, leg_s, _, _ = _legs(r0, s, mu)
+    d0 = -leg_r if case is EntryCase.ONE else leg_r
+    t1, phi0 = t0 + (leg_s - d0) / mu, math.atan2(d0, a)
+
+    def state(t: float):
+        if t <= t0:
+            return r0, th0, d0 / r0, a / r0
+        if t >= t1:
+            return s, math.pi, leg_s / s, a / s
+        d = d0 + mu * (t - t0)
+        r = math.hypot(a, d)
+        return r, th0 - (t - t0) + math.atan2(d, a) - phi0, d / r, a / r
+
+    t_tangency = t0 - d0 / mu if case is EntryCase.ONE else None
+    return Segment("focal_tributary", t0, t1, state, lambda t: 1.0), t_tangency
 
 
 def flowfield_sample(s: float, tau: float, params: GameParams) -> FlowfieldSample:

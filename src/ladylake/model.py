@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 
 class LakeGameError(Exception):
@@ -108,6 +108,19 @@ class ControlPair:
             raise DomainError(f"heading must be a unit vector, |.|^2 = {norm}")
         if abs(self.omega) > 1.0 + GameParams.slack:
             raise DomainError(f"|omega| must be <= 1, got {self.omega}")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One closed-form piece of a path, t0 <= t <= t1: state(t) gives L's
+    canonical (r, theta, cos_psi, sin_psi) and omega(t) M's canonical rate,
+    both exact at the two ends."""
+
+    kind: str
+    t0: float
+    t1: float
+    state: Callable[[float], tuple[float, float, float, float]]
+    omega: Callable[[float], float]
 
 
 @dataclass(frozen=True)

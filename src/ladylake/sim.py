@@ -1,12 +1,12 @@
 """Closed-loop forward simulation of the relative dynamics.
 
-Fixed-step RK4 with feedback strategies for both agents and bisection
-event refinement: focal-line entry, origin passage, shore exit, and
-barrier crossings.  Two segments of equilibrium play, the focal line and
-classical play above the barrier, are advanced in closed form instead, up
-to an exact end time.  The integrated state is kept in the canonical
-half-plane; crossings of theta = 0 or pi either snap onto the singular
-line (equilibrium play) or mirror the frame.
+Equilibrium lady against equilibrium man samples solution.rollout, the
+paper's closed-form path, on the time grid.  Other runs take fixed-step RK4
+with feedback strategies for both agents and bisection event refinement:
+focal-line entry, origin passage, shore exit, and barrier crossings; a lady
+who plays the focal-line control follows its closed form once on theta = pi.
+The integrated state is kept in the canonical half-plane; crossings of
+theta = 0 or pi either snap onto the singular line or mirror the frame.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import classical, focal, solution
-from .model import (DomainError, GameParams, LakeGameError, PolarState, RegionError,
-                    classical_drift, rates)
+from .model import DomainError, GameParams, LakeGameError, PolarState, RegionError, rates
+from .solution import rollout
 
 _PI = math.pi
 
@@ -118,8 +118,8 @@ class _Lady:
     the tangency circle): One until it has no root, which by solve_entry's
     proof is where she passes that circle, then Two.  Where the kept case has
     no root the last radius stands, and a solve at a trial state past the
-    centre, where theta means nothing, is not kept.  On the focal line
-    simulate plays her reactive control in closed form instead.
+    centre, where theta means nothing, is not kept.  On the focal line she
+    follows focal.line_segment instead.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -202,18 +202,18 @@ def simulate(
     t_max: float = 20.0,
     params: GameParams | None = None,
 ) -> Trajectory:
-    """Integrate the closed loop from an initial canonical state.
+    """Run the closed loop from an initial canonical state.
 
-    Controls are re-evaluated at every RK4 stage, except on two segments
-    stepped in closed form on the same dt grid up to an exact end, with
-    w = |omega| read at entry and Simpson's rule for M's time-only rate:
-    - the focal line under its control, where w is fixed: theta stays pi,
-      r = (mu/w) sin(phi0 + w (t - t0)) with phi0 = asin(w r0/mu), and E is
-      reached at t0 + (asin w - phi0)/w, or t0 + (mu - r0)/mu for w = 0;
-    - equilibrium play from above or on the barrier with classical value
-      V > tol_event (else theta = 0 comes first): r = hypot(mu, u), u =
-      sqrt(r0^2 - mu^2) + mu (t - t0), theta + classical_drift(r) stays
-      put, and the shore is reached at u = sqrt(1 - mu^2) with theta_f = V.
+    Equilibrium lady against equilibrium man samples rollout(initial) on the
+    dt grid, each step cut at a segment's end and each record taken from the
+    segment in force there, so its events and t_final are the rollout's.
+    The eq/eq starts that stay on RK4 instead:
+    - a classical path with V <= tol_event (below the critical mu), which
+      reaches theta = 0 before the shore.
+
+    Other runs take RK4 steps with the controls re-evaluated at every stage
+    and events refined by bisection, until a lady who plays the focal-line
+    control is on theta = pi; from there she follows focal.line_segment.
     """
     if params is None:
         raise DomainError("params is required")
@@ -221,24 +221,20 @@ def simulate(
         raise DomainError("dt and t_max must be finite and positive")
     if lady.side != "lady" or man.side != "man":
         raise DomainError("a lady strategy and a man strategy are required")
-    mu = params.mu
-    tol = params.tol_event
+    mu, tol = params.mu, params.tol_event
+    segments = None
+    if lady.kind == man.kind == "equilibrium":
+        try:
+            segments, events = rollout(initial, params)
+        except RegionError:
+            pass  # the docstring's list of starts that stay on RK4
     lady_s = _Lady(params, lady.delta_psi)
     fixed_heading = lady.heading if lady.kind == "fixed_heading" else None
     snap_to_fl = fixed_heading is None
     man_rate = _man_rate(man, params)
     man_eq = man.kind == "equilibrium"
 
-    r, th, alpha = initial.r, initial.theta, 0.0
-    sign = 1.0
-    # Only a lady who plays the focal-line control stays on the line.
-    segment = "fl" if snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol else None
-    if segment is None and lady.kind == man.kind == "equilibrium" and (
-        solution.region_of(r, th, params) in solution.CLASSICAL_REGIONS
-        and classical.classical_value(initial, params) > tol
-    ):
-        segment = "classical"
-    t_end = None  # the segment's end time, fixed at its entry
+    r, th, alpha, sign = initial.r, initial.theta, 0.0, 1.0
     traj = Trajectory()
 
     def omega(tt: float, rr: float, thh: float) -> float:
@@ -246,8 +242,8 @@ def simulate(
         return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
 
     def stage(tt: float, rr: float, thh: float):
-        """Canonical (cos_psi, sin_psi, omega) at a trial state off a
-        closed-form segment, and the rates of (r, theta, alpha) they give."""
+        """Canonical (cos_psi, sin_psi, omega) at a trial state, and the rates
+        of (r, theta, alpha) they give."""
         om = omega(tt, rr, thh)
         if fixed_heading is not None:
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
@@ -259,14 +255,12 @@ def simulate(
     def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
         return stage(tt, rr, thh)[1]
 
-    def record(tt, rr, thh, al):
-        """Append a state and its true-frame controls; off a closed-form
-        segment, return its rates, the first stage of the next step."""
-        if segment:
-            om, k = omega(tt, rr, thh), None
-            c, s_ = (focal.fl_heading_at(rr, om, mu) if segment == "fl"
-                     else classical.classical_heading_at(rr, mu))
-        else:
+    def record(tt, al, rr, thh, c=None, s_=None, om=None):
+        """Append a state and its canonical controls in the true frame; an
+        integrated state, given no controls, returns its rates, the first
+        stage of the next step."""
+        k = None
+        if c is None:
             (c, s_, om), k = stage(tt, rr, thh)
         traj.t.append(tt)
         traj.r.append(rr)
@@ -277,6 +271,23 @@ def simulate(
         traj.sin_psi.append(sign * min(1.0, max(-1.0, s_)))
         traj.omega.append(sign * om)
         return k
+
+    def follow(segs) -> bool:
+        """Record closed-form segments on the dt grid from t, each step cut at
+        a segment's end; whether the last one ends by t_max."""
+        nonlocal t, alpha
+        i = 0
+        while True:
+            while t >= segs[i].t1 and i + 1 < len(segs):
+                i += 1
+            seg = segs[i]
+            om = seg.omega(t)
+            record(t, alpha, *seg.state(t), om)
+            if t >= seg.t1 or t >= t_max - params.slack:
+                return t >= seg.t1
+            h = min(dt, t_max - t, seg.t1 - t)
+            alpha += h / 6.0 * sign * (om + 4.0 * seg.omega(t + 0.5 * h) + seg.omega(t + h))
+            t = seg.t1 if h == seg.t1 - t else t + h
 
     def slides(tt: float, rr: float) -> bool:
         """Whether a snapping lady on theta = 0 slides along it: the
@@ -296,34 +307,18 @@ def simulate(
     def at_e(rr: float, thh: float) -> bool:
         return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
 
-    t = 0.0
+    t, end = 0.0, None
     case_before = None  # the lady's case before the last record
-    k1 = record(t, r, th, alpha)
-    end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
-    while end is None and t < t_max - params.slack:
+    # A snapping lady on theta = pi leaves RK4 for the focal-line segment.
+    lands_on_fl = segments is None and snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol
+    if segments is not None:
+        end = events[-1][1] if follow(segments) else None
+        traj.events.extend(ev for ev in events[:-1] if ev[0] <= t)
+    elif not lands_on_fl:
+        k1 = record(t, alpha, r, th)
+        end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
+    while end is None and not lands_on_fl and t < t_max - params.slack:
         h = min(dt, t_max - t)
-        if segment:
-            if t_end is None:  # segment entry
-                t0, r0, w = t, r, abs(omega(t, r, th))
-                if segment == "fl":
-                    phi0 = math.asin(w * r0 / mu)
-                    t_end = t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
-                else:
-                    u0, v = math.sqrt(max(0.0, r0 * r0 - mu * mu)), th + classical_drift(r0, mu)
-                    t_end = t0 + (math.sqrt(1.0 - mu * mu) - u0) / mu
-            if t_end - t <= h:  # the exact end, cut into this step
-                h, end = t_end - t, "reached_e" if segment == "fl" else "shore_exit"
-            alpha += h / 6.0 * sign * (
-                omega(t, r, th) + 4.0 * omega(t + 0.5 * h, r, th) + omega(t + h, r, th)
-            )
-            t = t_end if end else t + h
-            if segment == "fl":
-                r = mu if end else (mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
-            else:
-                r = 1.0 if end else math.hypot(mu, u0 + mu * (t - t0))
-                th = v - classical_drift(r, mu)
-            record(t, r, th, alpha)
-            continue
         # Snapping play slides on pi, and on 0 by slides(); else mirror.  Read
         # before the trial step, whose stages move the lady's entry memory.
         leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or slides(t, r)))
@@ -375,31 +370,33 @@ def simulate(
                 th = _PI
             else:
                 sign = -sign
-            segment = "fl" if snap_to_fl and th == _PI else None
+            lands_on_fl = snap_to_fl and th == _PI
             lady_s.reset()
             traj.events.append((t, "origin_passage"))
         elif kind != "step":
             # theta = 0 or pi crossed: snap onto the singular line under
             # equilibrium play, else mirror the frame.
-            on_fl = kind == "fl_cross"
-            if snap_to_fl and (r < mu + tol if on_fl else slides(t, r)):
-                r, th = (min(r, mu), _PI) if on_fl else (r, 0.0)
-                if on_fl:
-                    segment = "fl"
-                    lady_s.reset()
-                traj.events.append((t, "fl_entry" if on_fl else "ul_entry"))
+            lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
+            if lands_on_fl or (snap_to_fl and kind == "ul_cross" and slides(t, r)):
+                r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
+                traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
             else:
                 sign = -sign
                 traj.events.append((t, "reflection"))
             end = "reached_e" if at_e(r, th) else None
+        if lands_on_fl:
+            break
         case_before = lady_s.case
-        k1 = record(t, r, th, alpha)
+        k1 = record(t, alpha, r, th)
+    if lands_on_fl:
+        fl = focal.line_segment(t, r, th, lambda tt: omega(tt, r, _PI), params)
+        end = "reached_e" if follow([fl]) else None
 
     if end is not None:
         traj.events.append((t, end))
         traj.outcome = "reached_shore" if end == "shore_exit" else end
         if end == "shore_exit":
-            traj.theta_f = th
+            traj.theta_f = traj.theta[-1]
     traj.t_final = t
     return traj
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical, focal, universal
-from .model import ControlPair, GameParams, LakeGameError, PolarState, RegionError
+from .model import ControlPair, GameParams, LakeGameError, PolarState, RegionError, Segment
 
 
 class Region(str, enum.Enum):
@@ -128,6 +128,58 @@ def advise(
     return StrategyAdvice(
         Region.FOCAL_TRIBUTARY, controls, entry.total_time, ValueKind.TIME_TO_E, entry
     )
+
+
+# The event that ends each kind of segment.
+_END = {"focal_tributary": "fl_entry", "universal_tributary": "ul_entry",
+        "universal_line": "origin_passage", "focal_line": "reached_e", "classical": "shore_exit"}
+
+
+def rollout(
+    state: PolarState, params: GameParams
+) -> tuple[tuple[Segment, ...], tuple[tuple[float, str], ...]]:
+    """Equilibrium lady against equilibrium man from a canonical state, as
+    consecutive closed-form segments, and its events at their exact times.
+
+    A focal tributary (the E box counts as one) ends on the focal line; a
+    universal tributary ends on the universal line, which passes the centre
+    onto the focal line; a start on the focal line or at the centre runs
+    along it from theta = pi; a classical start runs to the shore.  The last
+    event, reached_e or shore_exit, ends the last segment.  RegionError for a
+    classical path with V <= tol_event, which reaches theta = 0 before the
+    shore (only below the critical mu).
+    """
+    mu, tol = params.mu, params.tol_event
+    r, th = state.r, state.theta
+    region = region_of(r, th, params)
+    if (abs(th - math.pi) <= tol and r <= mu + tol) or r < params.eps_r:
+        kinds = ("focal_line",)
+    elif region in CLASSICAL_REGIONS:
+        if region is not Region.SHORE and classical.classical_value(state, params) <= tol:
+            raise RegionError(f"the classical path from ({r}, {th}) reaches theta = 0 first")
+        kinds = ("classical",)
+    elif region in UNIVERSAL_REGIONS:
+        kinds = ("universal_line", "focal_line")
+        if region is Region.UNIVERSAL_TRIBUTARY:
+            kinds = ("universal_tributary",) + kinds
+    else:
+        kinds = ("focal_tributary", "focal_line")
+    segments, events, t = [], [], 0.0
+    for kind in kinds:
+        if kind == "focal_tributary":
+            seg, t_tangency = focal.tributary_segment(t, r, th, params)
+            if t_tangency is not None:
+                events.append((t_tangency, "tangency"))
+        elif kind == "focal_line":
+            seg = focal.line_segment(t, r, math.pi, lambda tt: 1.0, params)
+        elif kind == "classical":
+            seg = classical.path_segment(t, r, th, params)
+        else:
+            seg = universal.path_segment(t, r, th, kind == "universal_line", params)
+        segments.append(seg)
+        t, (r, th, _, _) = seg.t1, seg.state(seg.t1)
+        events.append((t, _END[kind]))
+    return tuple(segments), tuple(events)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ControlPair, DomainError, GameParams, PolarState, RegionError
+from .model import ControlPair, DomainError, GameParams, PolarState, RegionError, Segment
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,24 @@ def time_to_antipode(state: PolarState, params: GameParams) -> float:
             f"theta = {state.theta} exceeds r/mu = {state.r / params.mu}"
         )
     return 0.5 * math.pi + state.r / params.mu
+
+
+def path_segment(t0: float, r0: float, th0: float, on_line: bool, params: GameParams) -> Segment:
+    """L heads for the centre, r = r0 - mu (t - t0).  On a tributary M runs
+    at 1, so theta = th0 - (t - t0) reaches 0 at t0 + th0; on the line he
+    stands still, theta holds, and she reaches the centre at t0 + r0/mu."""
+    mu, om = params.mu, 0.0 if on_line else 1.0
+    t1 = t0 + (r0 / mu if on_line else th0)
+
+    def state(t: float):
+        tau = min(t, t1) - t0
+        r, th = r0 - mu * tau, th0 - om * tau
+        if t >= t1:
+            r, th = (0.0, th) if on_line else (r, 0.0)
+        return r, th, -1.0, 0.0
+
+    kind = "universal_line" if on_line else "universal_tributary"
+    return Segment(kind, t0, t1, state, lambda t: om)
 
 
 def flowfield_sample(tau: float, params: GameParams, r_exit: float = 0.0) -> UlSample:

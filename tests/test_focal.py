@@ -67,29 +67,25 @@ class TestTimeOnFocalLine:
 
 
 class TestTributaryHeading:
-    def test_phase_is_entry_case(self):
-        assert focal.Phase.PRE_TANGENT is focal.EntryCase.ONE
-        assert focal.Phase.POST_TANGENT is focal.EntryCase.TWO
-
     def test_matches_fl_control_at_entry(self, params):
         # Tangential merge: at r = s the tributary heading equals the
         # on-line reactive control.
         c = focal.tributary_heading(
-            PolarState(0.15, 3.0), 0.15, focal.Phase.POST_TANGENT, params
+            PolarState(0.15, 3.0), 0.15, focal.EntryCase.TWO, params
         )
         assert c.sin_psi == pytest.approx(0.5)
         assert c.cos_psi == pytest.approx(math.sqrt(3) / 2)
 
     def test_tangency_point(self, params):
         c = focal.tributary_heading(
-            PolarState(0.075, 3.0), 0.15, focal.Phase.PRE_TANGENT, params
+            PolarState(0.075, 3.0), 0.15, focal.EntryCase.ONE, params
         )
         assert c.sin_psi == 1.0
         assert c.cos_psi == pytest.approx(0.0, abs=1e-12)
 
     def test_pre_tangent_sign(self, params):
         c = focal.tributary_heading(
-            PolarState(0.5, 2.0), 0.15, focal.Phase.PRE_TANGENT, params
+            PolarState(0.5, 2.0), 0.15, focal.EntryCase.ONE, params
         )
         assert c.sin_psi == pytest.approx(0.15)
         assert c.cos_psi == pytest.approx(-math.sqrt(1 - 0.0225))
@@ -97,7 +93,7 @@ class TestTributaryHeading:
     def test_under_tangency_circle_rejected(self, params):
         with pytest.raises(DomainError):
             focal.tributary_heading(
-                PolarState(0.05, 2.0), 0.15, focal.Phase.PRE_TANGENT, params
+                PolarState(0.05, 2.0), 0.15, focal.EntryCase.ONE, params
             )
 
 

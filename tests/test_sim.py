@@ -132,36 +132,124 @@ class TestFocalLineClosedForm:
             assert traj.t_final == pytest.approx(t_e, abs=1e-9)
 
     def test_steps_call_no_rk4_lady_or_rates(self, params, monkeypatch):
-        # Both closed-form segments: the focal line, and classical play from
-        # above the barrier.
+        # Every closed-form segment of equilibrium play: the focal line,
+        # classical play from above the barrier, and both tributaries.  A
+        # focal tributary costs one entry solve.
         calls = []
 
         def counted(name, f):
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
         monkeypatch.setattr(sim, "_rk4", counted("_rk4", sim._rk4))
+        monkeypatch.setattr(sim, "_crossing", counted("_crossing", sim._crossing))
         monkeypatch.setattr(sim, "rates", counted("rates", sim.rates))
         monkeypatch.setattr(sim._Lady, "__call__", counted("_Lady", sim._Lady.__call__))
-        for start, outcome in (((0.15, math.pi), "reached_e"), ((0.5, 2.8), "reached_shore")):
+        monkeypatch.setattr(focal, "entry_root", counted("entry_root", focal.entry_root))
+        for start, outcome, solves in (
+            ((0.15, math.pi), "reached_e", 0),
+            ((0.5, 2.8), "reached_shore", 0),
+            ((0.2, 1.0), "reached_e", 1),
+            ((0.05, 2.5), "reached_e", 1),
+            ((0.15, 0.3), "reached_e", 0),
+        ):
             traj = eq_run(PolarState(*start), params, dt=1e-3)
             assert traj.outcome == outcome and len(traj.t) > 1000
-        assert calls == []
+            assert calls == ["entry_root"] * solves, start
+            calls.clear()
 
 
 class TestExactArrival:
     def test_focal_line_start(self, params):
         traj = eq_run(PolarState(0.15, math.pi), params)
         assert traj.outcome == "reached_e"
-        assert abs(traj.t_final - math.pi / 3) <= 1e-8
+        assert abs(traj.t_final - math.pi / 3) <= 1e-12
         assert traj.r[-1] == MU and traj.t[-1] == traj.t_final
 
     def test_universal_line_start(self, params):
         traj = eq_run(PolarState(0.15, 0.3), params)
         assert traj.outcome == "reached_e"
-        assert abs(traj.t_final - (math.pi / 2 + 0.5)) <= 1e-8
+        assert abs(traj.t_final - (math.pi / 2 + 0.5)) <= 1e-12
 
     def test_no_arrival_threshold(self):
         assert not hasattr(sim, "E_ARRIVE")
+
+
+# One start in every class of equilibrium play at mu = 0.3.
+_CLASS_STARTS = {
+    "focal_tributary_one": (0.2, 1.0),
+    "focal_tributary_two": (0.05, 2.5),
+    "universal_tributary": (0.15, 0.3),
+    "universal_line": (0.15, 0.0),
+    "focal_line": (0.15, math.pi),
+    "above_barrier": (0.5, 2.8),
+    "on_barrier": (0.5, classical.barrier_theta(0.5, GameParams(MU))),
+    "shore": (1.0, 1.5),
+    "e_box": (MU - 5e-7, math.pi - 5e-7),
+}
+
+
+class TestRollout:
+    """sim.rollout, the closed form of equilibrium play, as the oracle of the
+    simulator: eq/eq samples it, and perturbed(0.0)/eq, which integrates the
+    same strategies with RK4, follows it within the step's error."""
+
+    def test_segments_per_start_class(self, params):
+        kinds = {
+            name: [seg.kind for seg in sim.rollout(PolarState(*start), params)[0]]
+            for name, start in _CLASS_STARTS.items()
+        }
+        focal_tributary = ["focal_tributary", "focal_line"]
+        assert kinds == {
+            "focal_tributary_one": focal_tributary,
+            "focal_tributary_two": focal_tributary,
+            "universal_tributary": ["universal_tributary", "universal_line", "focal_line"],
+            "universal_line": ["universal_line", "focal_line"],
+            "focal_line": ["focal_line"],
+            "above_barrier": ["classical"],
+            "on_barrier": ["classical"],
+            "shore": ["classical"],
+            "e_box": focal_tributary,
+        }
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", list(_CLASS_STARTS))
+    def test_equilibrium_run_samples_the_rollout(self, params, name, dt):
+        state = PolarState(*_CLASS_STARTS[name])
+        segments, events = sim.rollout(state, params)
+        traj = eq_run(state, params, dt=dt)
+        assert [k for _, k in traj.events] == [k for _, k in events]
+        assert all(abs(a - b) <= 1e-12 for (a, _), (b, _) in zip(traj.events, events))
+        assert abs(traj.t_final - events[-1][0]) <= 1e-12
+        for t, r, theta in zip(traj.t, traj.r, traj.theta):
+            seg = next(sg for sg in reversed(segments) if sg.t0 <= t)
+            assert seg.state(t)[:2] == (r, theta)
+
+    @pytest.mark.parametrize("name", ["focal_tributary_one", "universal_tributary", "above_barrier"])
+    def test_short_horizon_times_out_at_t_max(self, params, name):
+        state = PolarState(*_CLASS_STARTS[name])
+        _, events = sim.rollout(state, params)
+        t_max = 0.6 * events[-1][0]
+        traj = eq_run(state, params, dt=1e-3, t_max=t_max)
+        assert traj.outcome == "timeout" and traj.theta_f is None
+        assert abs(traj.t[-1] - t_max) <= 1e-12 and traj.t_final == traj.t[-1]
+        assert traj.events == [ev for ev in events if ev[0] <= t_max]
+
+    @pytest.mark.parametrize("name", list(_CLASS_STARTS))
+    def test_integrated_equilibrium_follows_the_rollout(self, params, name):
+        # Bounds set from the step error of RK4 at dt = 1e-4 before
+        # measuring: fl_entry is met tangentially, ul_entry is late by about
+        # h/5, and t_final carries the eps_r cut at the origin passage.
+        state = PolarState(*_CLASS_STARTS[name])
+        _, events = sim.rollout(state, params)
+        traj = sim.simulate(
+            state, sim.StrategySpec.perturbed(0.0), sim.StrategySpec.equilibrium("man"),
+            dt=1e-4, params=params,
+        )
+        assert [k for _, k in traj.events] == [k for _, k in events]
+        bound = {"fl_entry": 1e-5, "ul_entry": 3e-5}
+        for (t, kind), (t_closed, _) in zip(traj.events, events):
+            assert abs(t - t_closed) <= bound.get(kind, math.inf), kind
+        assert abs(traj.t_final - events[-1][0]) <= 1e-8
 
 
 class TestClassicalClosedForm:
@@ -216,6 +304,8 @@ class TestClassicalClosedForm:
         state = PolarState(r0, theta0)
         assert solution.region_of(r0, theta0, params) is solution.Region.ABOVE_BARRIER
         assert classical.classical_value(state, params) < 0.0
+        with pytest.raises(RegionError):
+            sim.rollout(state, params)
         traj = eq_run(state, params)
         assert traj.outcome == "reached_shore"
         assert [k for _, k in traj.events] == ["ul_entry", "shore_exit"]
@@ -276,7 +366,7 @@ class TestFocalTributaryRun:
         predicted = focal.solve_entry(PolarState(r, theta), params).total_time
         traj = eq_run(PolarState(r, theta), params)
         assert traj.outcome == "reached_e"
-        assert traj.t_final == pytest.approx(predicted, abs=1e-3)
+        assert traj.t_final == pytest.approx(predicted, abs=1e-9)
 
     def test_fl_entry_has_zero_theta_rate(self, params):
         # At the tangential merge the angular rate vanishes.

@@ -30,33 +30,33 @@ class TestCostates:
         # tributary costate tends to it as s -> r.
         for r in (1e-6, 0.15, 0.29):
             on = verify.costate_min_time(
-                PolarState(r, math.pi), r, focal.Phase.POST_TANGENT, params
+                PolarState(r, math.pi), r, focal.EntryCase.TWO, params
             )
             assert on.lambda_r == pytest.approx(-1.0 / math.sqrt(MU**2 - r**2), rel=1e-12)
             assert on.nu == pytest.approx(-(r**2) / (MU**2 - r**2), rel=1e-12)
             assert on.lambda_theta == on.nu
         r = 0.15
         near = verify.costate_min_time(
-            PolarState(r, math.pi), r - 1e-9, focal.Phase.POST_TANGENT, params
+            PolarState(r, math.pi), r - 1e-9, focal.EntryCase.TWO, params
         )
-        on = verify.costate_min_time(PolarState(r, math.pi), r, focal.Phase.POST_TANGENT, params)
+        on = verify.costate_min_time(PolarState(r, math.pi), r, focal.EntryCase.TWO, params)
         assert near.lambda_r == pytest.approx(on.lambda_r, abs=1e-5)
         assert near.nu == pytest.approx(on.nu, abs=1e-6)
 
     def test_focal_phase_sign(self, params):
         s = 0.15
         pre = verify.costate_min_time(
-            PolarState(0.5, 2.0), s, focal.Phase.PRE_TANGENT, params
+            PolarState(0.5, 2.0), s, focal.EntryCase.ONE, params
         )
         post = verify.costate_min_time(
-            PolarState(0.5, 2.0), s, focal.Phase.POST_TANGENT, params
+            PolarState(0.5, 2.0), s, focal.EntryCase.TWO, params
         )
         assert pre.lambda_r > 0.0 > post.lambda_r
         assert pre.lambda_r == -post.lambda_r
 
     def test_universal(self, params):
         co = verify.costate_min_time(
-            PolarState(0.4, 0.5), 0.0, focal.Phase.PRE_TANGENT, params
+            PolarState(0.4, 0.5), 0.0, focal.EntryCase.ONE, params
         )
         assert (co.lambda_r, co.lambda_theta, co.nu) == (1.0 / MU, 0.0, 0.0)
 
@@ -64,13 +64,13 @@ class TestCostates:
     def test_universal_member_is_exactly_one_over_mu(self, mu):
         # Written in p = s/mu, the s = 0 member cancels nothing: 1/mu to the
         # last bit, not mu/mu^2.
-        co = verify.costate_min_time(PolarState(0.4, 0.5), 0.0, focal.Phase.ONE, GameParams(mu))
+        co = verify.costate_min_time(PolarState(0.4, 0.5), 0.0, focal.EntryCase.ONE, GameParams(mu))
         assert co.lambda_r == 1.0 / mu
 
     def test_min_time_domain(self, params):
         for s in (-1e-9, MU):
             with pytest.raises(DomainError):
-                verify.costate_min_time(PolarState(0.5, 2.0), s, focal.Phase.ONE, params)
+                verify.costate_min_time(PolarState(0.5, 2.0), s, focal.EntryCase.ONE, params)
 
 
 class TestHamiltonians:
@@ -93,13 +93,13 @@ class TestHamiltonians:
     def test_min_time_tributary_vanishes(self, params):
         state = PolarState(0.05, 2.5)
         entry = focal.solve_entry(state, params)
-        co = verify.costate_min_time(state, entry.s, focal.Phase.PRE_TANGENT, params)
-        c = focal.tributary_heading(state, entry.s, focal.Phase.PRE_TANGENT, params)
+        co = verify.costate_min_time(state, entry.s, focal.EntryCase.ONE, params)
+        c = focal.tributary_heading(state, entry.s, focal.EntryCase.ONE, params)
         assert abs(verify.hamiltonian(state, co, c, params)) < 1e-10
 
     def test_min_time_universal_vanishes(self, params):
         state = PolarState(0.4, 0.5)
-        co = verify.costate_min_time(state, 0.0, focal.Phase.PRE_TANGENT, params)
+        co = verify.costate_min_time(state, 0.0, focal.EntryCase.ONE, params)
         c = universal.ul_tributary_heading(state, params)
         assert abs(verify.hamiltonian(state, co, c, params)) < 1e-12
 
@@ -107,8 +107,8 @@ class TestHamiltonians:
         # Rotating the equilibrium heading never lowers the Hamiltonian.
         state = PolarState(0.05, 2.5)
         entry = focal.solve_entry(state, params)
-        co = verify.costate_min_time(state, entry.s, focal.Phase.PRE_TANGENT, params)
-        c = focal.tributary_heading(state, entry.s, focal.Phase.PRE_TANGENT, params)
+        co = verify.costate_min_time(state, entry.s, focal.EntryCase.ONE, params)
+        c = focal.tributary_heading(state, entry.s, focal.EntryCase.ONE, params)
         h0 = verify.hamiltonian(state, co, c, params)
         psi0 = math.atan2(c.sin_psi, c.cos_psi)
         rng = np.random.default_rng(3)
@@ -125,7 +125,7 @@ class TestHamiltonians:
         assert [tag.name for tag in verify.GameTag] == ["CLASSICAL", "MIN_TIME"]
         for co in (
             verify.costate_classical(state, params),
-            verify.costate_min_time(state, 0.0, focal.Phase.PRE_TANGENT, params),
+            verify.costate_min_time(state, 0.0, focal.EntryCase.ONE, params),
         ):
             h = [
                 verify.hamiltonian(state, replace(co, game_tag=tag), c, params)
@@ -146,7 +146,7 @@ class TestMinTimeValue:
         r, theta = 0.05, 2.5
         entry = focal.solve_entry(PolarState(r, theta), params)
         co = verify.costate_min_time(
-            PolarState(r, theta), entry.s, focal.Phase.PRE_TANGENT, params
+            PolarState(r, theta), entry.s, focal.EntryCase.ONE, params
         )
         h = 1e-6
         fd = (
