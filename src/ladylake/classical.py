@@ -135,10 +135,7 @@ def barrier_residual(r: float, params: GameParams) -> float:
 
 def barrier_side(r: float, theta: float, params: GameParams) -> BarrierSide:
     """Side of the barrier curve that (r, theta) lies on, within tol_event."""
-    mu = params.mu
-    if r < mu:
-        if abs(r - mu) <= params.tol_event and abs(theta - math.pi) <= params.tol_event:
-            return BarrierSide.ON
+    if r < params.mu:
         return BarrierSide.BELOW
     b = barrier_theta(r, params)
     if abs(theta - b) <= params.tol_event:

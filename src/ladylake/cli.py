@@ -22,7 +22,6 @@ from .model import (
     LakeGameError,
     PolarState,
     canonicalize,
-    classical_drift,
 )
 from .sim import StrategySpec, deviation_report, simulate
 from .solution import advise
@@ -147,17 +146,10 @@ def cmd_critical_mu(args: argparse.Namespace) -> int:
 
 
 def _classical_trajectory(theta0: float, params: GameParams, n: int) -> list[tuple[float, float]]:
-    """Closed-form classical equilibrium path seeded at (mu, theta0).
-
-    Terminal-angle conservation gives theta as an explicit function of r,
-    so the sampled path ends exactly on the shore.
-    """
-    mu = params.mu
-    pts = []
-    for k in range(n):
-        r = mu + (1.0 - mu) * k / (n - 1)
-        pts.append((r, theta0 - classical_drift(r, mu)))
-    return pts
+    """n samples of classical.path_segment from (mu, theta0), evenly spaced
+    in time; the last one is exactly on the shore."""
+    seg = classical.path_segment(0.0, params.mu, theta0, params)
+    return [seg.state(seg.t1 * (k / (n - 1)))[:2] for k in range(n)]
 
 
 def _below_barrier(samples, params: GameParams) -> list[tuple[float, float]]:

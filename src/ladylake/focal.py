@@ -195,21 +195,16 @@ def flowfield_sample(s: float, tau: float, params: GameParams) -> FlowfieldSampl
 
 
 def _legs(r: float, s: float, mu: float) -> tuple[float, float, float, float]:
-    """Tangent legs from r and from s to the closest-approach circle, then
-    the arc angles acos(s^2/(mu r)) and acos(s/mu)."""
-    a2 = s**4 / (mu * mu)  # squared closest-approach radius
-    under_r = r * r - a2
-    under_s = s * s - a2
+    """Tangent legs from r and from s to the closest-approach circle r = a =
+    s^2/mu, then the arc angles acos(a/r) and acos(s/mu) as atan2s, which keep
+    the digits acos loses near 1.  A leg is 0 where a rounds an ulp past r or
+    s, at s = sqrt(mu r) or s = mu."""
+    a = s * s / mu
+    under_r, under_s = (r - a) * (r + a), (s - a) * (s + a)
     if under_r < -GameParams.slack or under_s < -GameParams.slack:
-        raise DomainError(
-            f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu"
-        )
-    return (
-        math.sqrt(max(0.0, under_r)),
-        math.sqrt(max(0.0, under_s)),
-        math.acos(min(1.0, max(-1.0, s * s / (mu * r)))),
-        math.acos(min(1.0, max(-1.0, s / mu))),
-    )
+        raise DomainError(f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu")
+    leg_r, leg_s = math.sqrt(max(0.0, under_r)), math.sqrt(max(0.0, under_s))
+    return leg_r, leg_s, math.atan2(leg_r, a), math.atan2(math.sqrt((mu - s) * (mu + s)), s)
 
 
 def _times(legs, theta, case: EntryCase, mu: float):
@@ -294,14 +289,11 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
 def _delta_grid(r: float, theta: float, s: np.ndarray, case: EntryCase, mu: float) -> np.ndarray:
     """The mismatch over a grid of entry radii, with the legs and angles of
     _legs taken in numpy; NaN where r < s^2/mu."""
-    a2 = s**4 / (mu * mu)
-    under_r = r * r - a2
-    legs = (
-        np.sqrt(np.clip(under_r, 0.0, None)),
-        np.sqrt(np.clip(s * s - a2, 0.0, None)),
-        np.arccos(np.clip(s * s / (mu * r), -1.0, 1.0)),
-        np.arccos(np.clip(s / mu, -1.0, 1.0)),
-    )
+    a = s * s / mu
+    under_r = (r - a) * (r + a)
+    leg_r = np.sqrt(np.clip(under_r, 0.0, None))
+    legs = (leg_r, np.sqrt(np.clip((s - a) * (s + a), 0.0, None)),
+            np.arctan2(leg_r, a), np.arctan2(np.sqrt((mu - s) * (mu + s)), s))
     delta = _delta(_times(legs, theta, case, mu))
     delta[under_r < -GameParams.slack] = np.nan
     return delta

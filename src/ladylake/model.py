@@ -62,8 +62,8 @@ class GameParams:
     tol_event: ClassVar[float] = 1e-9  # band of an event, a singular line or the barrier
     slack: ClassVar[float] = 1e-12  # rounding allowed past a closed-form range or a unit norm
     input_slack: ClassVar[float] = 1e-9  # the same allowance for headings and poses given
-    # Snap box of the antipodal point, looser than tol_event for states given with
-    # fewer digits of pi; the value jumps at its edge (0 to 0.0328 at mu = r = 0.3).
+    # Offset from E of perfbench's snap_in/snap_out probes, read only there (as
+    # solution.E_SNAP); region_of calls E only the point itself, within slack.
     e_snap: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:

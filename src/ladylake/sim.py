@@ -366,7 +366,7 @@ def simulate(
             # Through the centre onto the opposite ray, seen in the mirrored
             # frame unless she lands on the focal line, where the mirror is moot.
             r, th = max(abs(r), params.eps_r), _PI - th
-            if abs(th - _PI) <= params.e_snap:
+            if abs(th - _PI) <= tol:
                 th = _PI
             else:
                 sign = -sign

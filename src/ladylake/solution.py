@@ -32,7 +32,7 @@ class ValueKind(str, enum.Enum):
     TERMINAL_ANGLE = "TerminalAngle"
 
 
-E_SNAP = GameParams.e_snap
+E_SNAP = GameParams.e_snap  # perfbench's probe offset from E; nothing here reads it
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def region_of(r: float, theta: float, params: GameParams) -> Region:
     mu = params.mu
     if r >= 1.0 - params.tol_event:
         return Region.SHORE
-    if abs(r - mu) <= E_SNAP and abs(theta - math.pi) <= E_SNAP:
+    if abs(r - mu) <= params.slack and abs(theta - math.pi) <= params.slack:
         return Region.ANTIPODAL_POINT
     if r >= mu:
         side = classical.barrier_side(r, theta, params)
@@ -141,7 +141,7 @@ def rollout(
     """Equilibrium lady against equilibrium man from a canonical state, as
     consecutive closed-form segments, and its events at their exact times.
 
-    A focal tributary (the E box counts as one) ends on the focal line; a
+    A focal tributary (E itself counts as one) ends on the focal line; a
     universal tributary ends on the universal line, which passes the centre
     onto the focal line; a start on the focal line or at the centre runs
     along it from theta = pi; a classical start runs to the shore.  The last

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical, focal, solution, universal
-from .model import ControlPair, DomainError, GameParams, LakeGameError, PolarState, rates
+from .model import ControlPair, DomainError, GameParams, PolarState, rates
 
 _PI = math.pi
 _TRIBUTARIES = (solution.Region.FOCAL_TRIBUTARY, solution.Region.UNIVERSAL_TRIBUTARY)
@@ -101,7 +101,8 @@ def hji_sweep(
     and plugged into the min-time Hamiltonian with equilibrium controls.
     A cell is used only when it and its four stencil points (r +- h,
     theta +- h) lie in one tributary region by solution.region_of, since
-    the value has kinks on the region boundaries.
+    the value has kinks on the region boundaries.  A solve that fails raises:
+    no cell is dropped for it.
     """
     if n_r < 2 or n_theta < 2:
         raise ValueError("grid sizes must be >= 2")
@@ -116,14 +117,11 @@ def hji_sweep(
             regions = {solution.region_of(rr, tt, params) for rr, tt in stencil}
             if len(regions) > 1 or regions.pop() not in _TRIBUTARIES:
                 continue
-            try:
-                v_rp = min_time_value(r + h, theta, params)
-                v_rm = min_time_value(r - h, theta, params)
-                v_tp = min_time_value(r, theta + h, params)
-                v_tm = min_time_value(r, theta - h, params)
-                adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
-            except LakeGameError:
-                continue
+            v_rp = min_time_value(r + h, theta, params)
+            v_rm = min_time_value(r - h, theta, params)
+            v_tp = min_time_value(r, theta + h, params)
+            v_tm = min_time_value(r, theta - h, params)
+            adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
             lam_r = (v_rp - v_rm) / (2.0 * h)
             lam_t = (v_tp - v_tm) / (2.0 * h)
             cand = Costate(lam_r, lam_t, lam_t, GameTag.MIN_TIME)

@@ -28,11 +28,14 @@ class TestSolve:
         assert doc["value"] == pytest.approx(1.4958944900512612, abs=1e-9)
 
     def test_antipodal_snap(self, capsys):
+        # E is one point: pi to eight decimals is a focal tributary next to it.
         code, out, _ = run(
             capsys, "solve", "--mu", "0.3", "--r", "0.3", "--theta", "3.14159265"
         )
         assert code == 0
-        assert json.loads(out)["region"] == "AntipodalPoint"
+        doc = json.loads(out)
+        assert doc["region"] == "FocalTributary"
+        assert 0.0 < doc["value"] <= 4.0 * (math.pi - 3.14159265) ** (1 / 3)
 
     def test_universal_tributary(self, capsys):
         code, out, _ = run(

@@ -185,6 +185,8 @@ _CLASS_STARTS = {
     "on_barrier": (0.5, classical.barrier_theta(0.5, GameParams(MU))),
     "shore": (1.0, 1.5),
     "e_box": (MU - 5e-7, math.pi - 5e-7),
+    # Next to E but above the barrier: the classical game starts at E.
+    "e_box_above_barrier": (MU + 5e-7, math.pi),
 }
 
 
@@ -209,6 +211,7 @@ class TestRollout:
             "on_barrier": ["classical"],
             "shore": ["classical"],
             "e_box": focal_tributary,
+            "e_box_above_barrier": ["classical"],
         }
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
@@ -246,6 +249,7 @@ class TestRollout:
             dt=1e-4, params=params,
         )
         assert [k for _, k in traj.events] == [k for _, k in events]
+        assert "barrier_crossing" not in {k for _, k in traj.events}
         bound = {"fl_entry": 1e-5, "ul_entry": 3e-5}
         for (t, kind), (t_closed, _) in zip(traj.events, events):
             assert abs(t - t_closed) <= bound.get(kind, math.inf), kind
@@ -694,9 +698,8 @@ class TestRunSet:
 
 
 class TestLadyMatchesAdvise:
-    """The equilibrium lady plays advise's heading, apart from the one
-    difference the simulator makes on purpose: inside the E_SNAP box she
-    keeps the tributary heading."""
+    """The equilibrium lady plays advise's heading wherever theta means
+    something, E included."""
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.6, 0.9])
     def test_heading_matches_advise(self, mu):
@@ -704,9 +707,7 @@ class TestLadyMatchesAdvise:
         for i in range(40):
             for j in range(41):
                 r, theta = i / 40, math.pi * j / 40
-                if r < params.eps_r or (
-                    abs(r - mu) <= solution.E_SNAP and abs(theta - math.pi) <= solution.E_SNAP
-                ):
+                if r < params.eps_r:
                     continue
                 adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
                 c, s = sim._Lady(params, 0.0)(r, theta)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,7 @@ class TestClassify:
         [
             (1.0, 2.0, Region.SHORE),
             (MU, math.pi, Region.ANTIPODAL_POINT),
-            (MU, 3.14159265, Region.ANTIPODAL_POINT),
+            (MU, 3.14159265, Region.FOCAL_TRIBUTARY),
             (0.15, math.pi, Region.FOCAL_LINE),
             (0.5, 0.0, Region.UNIVERSAL_LINE),
             (0.15, 0.3, Region.UNIVERSAL_TRIBUTARY),
@@ -107,6 +108,73 @@ class TestAdvise:
         adv = advise(PolarState(r, theta), params, omega_now=1.0)
         assert math.isfinite(adv.value)
         assert adv.value >= 0.0
+
+
+E_MUS = (0.1, 0.3, 0.6, 0.9)
+
+
+class TestAtE:
+    """E = (mu, pi) is one point, within slack.  Next to it the value falls
+    continuously to 0, like 3.27 delta^(1/3) at distance delta."""
+
+    @pytest.mark.parametrize("mu", E_MUS)
+    def test_e_is_a_point(self, mu):
+        params = GameParams(mu)
+        assert solution.region_of(mu, math.pi, params) is Region.ANTIPODAL_POINT
+        assert solution.region_of(mu - 1e-11, math.pi, params) is Region.FOCAL_LINE
+        assert solution.region_of(mu - 1e-11, math.pi - 1e-11, params) is Region.FOCAL_LINE
+        # The classical game starts at E, so r >= mu next to it is on the barrier.
+        assert solution.region_of(mu, math.pi - 1e-11, params) is Region.ON_BARRIER
+        assert solution.region_of(mu + 1e-11, math.pi, params) is Region.ON_BARRIER
+
+    @pytest.mark.parametrize("mu", E_MUS)
+    @pytest.mark.parametrize(
+        "dr,last", [(1.0, 12), (0.0, 8)], ids=["diagonal", "along_r_eq_mu"]
+    )
+    def test_value_falls_monotonically_to_zero(self, mu, dr, last):
+        # Along (mu, pi - delta) the path meets the barrier's tol_event band
+        # below delta = 1e-9, where advise answers OnBarrier.
+        params = GameParams(mu)
+        values = []
+        for k in range(3, last + 1):
+            d = 10.0**-k
+            adv = advise(PolarState(mu - dr * d, math.pi - d), params, omega_now=1.0)
+            assert adv.value_kind is ValueKind.TIME_TO_E
+            assert 0.0 < adv.value <= 4.0 * d ** (1 / 3), d
+            values.append(adv.value)
+        assert all(a > b for a, b in zip(values, values[1:])), values
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.sampled_from(E_MUS),
+        x=st.tuples(st.floats(-1e-4, 1e-4), st.floats(0.0, 1e-4)),
+        y=st.tuples(st.floats(-1e-4, 1e-4), st.floats(0.0, 1e-4)),
+    )
+    def test_hoelder_one_third_near_e(self, mu, x, y):
+        # The floor tol_event covers the step at the edge of the focal
+        # line's band next to E, 3.3 tol_event^(1/3).
+        params = GameParams(mu)
+        vx, vy = (
+            advise(PolarState(mu + dr, math.pi - dth), params, omega_now=1.0)
+            for dr, dth in (x, y)
+        )
+        assume(vx.value_kind is vy.value_kind is ValueKind.TIME_TO_E)
+        dist = math.hypot(x[0] - y[0], x[1] - y[1])
+        assert abs(vx.value - vy.value) <= 4.0 * (dist + params.tol_event) ** (1 / 3)
+
+    @pytest.mark.parametrize("mu", E_MUS)
+    def test_no_raise_near_e(self, mu):
+        # Distances log-uniform down to 1e-12: within about 1e-7 of E the
+        # arrival-time mismatch is below the rounding of acos near 1.
+        params = GameParams(mu)
+        rng = random.Random(11)
+        for _ in range(4000):
+            d, phi = 10.0 ** rng.uniform(-12.0, -3.0), rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+            r, theta = mu + d * math.sin(phi), math.pi - d * math.cos(phi)
+            adv = advise(PolarState(r, theta), params, omega_now=1.0)
+            assert math.isfinite(adv.value)
+            if adv.region is Region.FOCAL_TRIBUTARY:
+                assert focal.entry_root(r, theta, params)[0] == pytest.approx(adv.entry.s, abs=1e-9)
 
 
 class TestValueGrid:
