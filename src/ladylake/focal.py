@@ -203,7 +203,8 @@ def _legs(r: float, s: float, mu: float) -> tuple[float, float, float, float]:
     under_r, under_s = (r - a) * (r + a), (s - a) * (s + a)
     if under_r < -GameParams.slack or under_s < -GameParams.slack:
         raise DomainError(f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu")
-    leg_r, leg_s = math.sqrt(max(0.0, under_r)), math.sqrt(max(0.0, under_s))
+    leg_r = math.sqrt(under_r) if under_r > 0.0 else 0.0
+    leg_s = math.sqrt(under_s) if under_s > 0.0 else 0.0
     return leg_r, leg_s, math.atan2(leg_r, a), math.atan2(math.sqrt((mu - s) * (mu + s)), s)
 
 
@@ -238,6 +239,33 @@ def entry_delta(
     return _delta(arrival_times(state, s, case, params))
 
 
+def _newton(r: float, theta: float, s: float, case: EntryCase, mu: float) -> tuple[float, float]:
+    """Delta at s and the Newton iterate from s by leg_r dDelta/ds = g (leg_r +- leg_s)."""
+    leg_r, leg_s, _, _ = legs = _legs(r, s, mu)
+    f = _delta(_times(legs, theta, case, mu))
+    up = 1.0 if case is EntryCase.ONE else -1.0
+    slope = (2.0 / mu) * math.sqrt(max(0.0, 1.0 - s * s / (mu * mu))) * (leg_r + up * leg_s)
+    return f, (s - f * leg_r / slope if slope != 0.0 else s)
+
+
+def entry_track(r: float, theta: float, params: GameParams, case: EntryCase,
+                s: float) -> tuple[float, EntryCase] | None:
+    """entry_root's (s, case) by Newton steps d1, d2 from a predicted s; None unless
+    both stay in the bracket, |d2| <= |d1|/2, their error (d2/d1)^2 |d2| <= tol_root,
+    and up Delta >= 0 at an iterate or else at s_hi (up Delta increases: the case test)."""
+    mu, up = params.mu, (1.0 if case is EntryCase.ONE else -1.0)
+    lo, hi = (0.0 if up > 0.0 else r), min(mu, math.sqrt(mu * r))
+    f0, s1 = _newton(r, theta, s, case, mu) if lo < s < hi else (0.0, s)
+    if s1 == s or not lo < s1 < hi:
+        return None
+    f1, s2 = _newton(r, theta, s1, case, mu)
+    d1, d2 = s1 - s, s2 - s1
+    if lo < s2 < hi and abs(d2) <= 0.5 * abs(d1) and (d2 / d1) ** 2 * abs(d2) <= params.tol_root:
+        if max(up * f0, up * f1) >= 0.0 or up * _newton(r, theta, hi, case, mu)[0] >= 0.0:
+            return s2, case
+    return None
+
+
 def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | None = None,
                hint: float | None = None) -> tuple[float, EntryCase] | None:
     """Entry radius and case through (r, theta) by the proof in solve_entry:
@@ -246,17 +274,13 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     stop once Delta changes sign within tol_root of the returned radius."""
     mu = params.mu
     s_hi = min(mu, math.sqrt(mu * r))
-
-    def delta(s: float, c: EntryCase) -> float:
-        return _delta(_times(_legs(r, s, mu), theta, c, mu))
-
     pick = case is None
     if pick:
-        case = EntryCase.ONE if delta(s_hi, EntryCase.ONE) >= 0.0 else EntryCase.TWO
+        case = EntryCase.ONE if _newton(r, theta, s_hi, EntryCase.ONE, mu)[0] >= 0.0 else EntryCase.TWO
     up = 1.0 if case is EntryCase.ONE else -1.0  # the sign of dDelta/ds
     a, b = (0.0 if up > 0.0 else r), s_hi
     # Delta(a) from the proof: rounding in _times can flip its sign at 0.
-    fa, fb = (r / mu if up > 0.0 else math.pi) - theta, delta(b, case)
+    fa, fb = (r / mu if up > 0.0 else math.pi) - theta, _newton(r, theta, b, case, mu)[0]
     if not a < b or up * fa > 0.0 or up * fb < 0.0:
         if pick:
             raise NoRootError(f"no focal-line entry radius for state (r={r}, theta={theta})")
@@ -266,16 +290,13 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     s = 0.5 * (a + b) if hint is None else min(max(hint, a), b)
     cand = None  # the end of a short step, returned once Delta changes sign past it
     for _ in range(100):
-        leg_r, leg_s, _, _ = legs = _legs(r, s, mu)
-        f = _delta(_times(legs, theta, case, mu))
+        f, step = _newton(r, theta, s, case, mu)
         if cand is not None and (up * f >= 0.0) == (s > cand):
             return cand, case
         if f == 0.0:
             return s, case
         a, b = (s, b) if up * f < 0.0 else (a, s)
-        # leg_r dDelta/ds = g (leg_r +- leg_s); at s_hi leg_r = 0, so the bracket halves.
-        slope = (2.0 / mu) * math.sqrt(max(0.0, 1.0 - s * s / (mu * mu))) * (leg_r + up * leg_s)
-        step = s - f * leg_r / slope if slope != 0.0 else s
+        # At s_hi the Newton iterate is s itself, so the bracket halves.
         last, s, cand = s, step if a < step < b else 0.5 * (a + b), None
         if abs(s - last) <= params.tol_root:
             # A short step proves nothing near s_hi, where the slope is infinite,
@@ -355,9 +376,7 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
         s = min(roots1)
         case = EntryCase.ONE
     else:
-        lo2 = r
-        hi2 = min(mu, math.sqrt(mu * r))
-        roots2 = _scan_case(r, theta, lo2, hi2, EntryCase.TWO, params) if hi2 >= lo2 else []
+        roots2 = _scan_case(r, theta, r, s_hi, EntryCase.TWO, params)
         if not roots2:
             raise NoRootError(
                 f"no focal-line entry radius for state (r={r}, theta={theta})"

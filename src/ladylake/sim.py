@@ -2,9 +2,10 @@
 
 Equilibrium lady against equilibrium man samples solution.rollout, the
 paper's closed-form path, on the time grid.  Other runs take fixed-step RK4
-with feedback strategies for both agents and bisection event refinement:
-focal-line entry, origin passage, shore exit, and barrier crossings; a lady
-who plays the focal-line control follows its closed form once on theta = pi.
+with feedback strategies and bisection event refinement (focal-line entry,
+origin passage, shore exit, barrier crossings), the lady's entry radius solved
+at records and continued at stages; one who plays the focal-line control
+follows its closed form once on theta = pi.
 The integrated state is kept in the canonical half-plane; crossings of
 theta = 0 or pi either snap onto the singular line or mirror the frame.
 """
@@ -113,27 +114,27 @@ class _Lady:
     """State-feedback equilibrium heading, rotated by delta_psi off the
     focal line (0 for equilibrium play).
 
-    On a focal tributary, focal.entry_root refines the last entry radius in
-    the kept case of the path ahead (one re-picked from the state chatters on
-    the tangency circle): One until it has no root, which by solve_entry's
-    proof is where she passes that circle, then Two.  Where the kept case has
-    no root the last radius stands, and a solve at a trial state past the
-    centre, where theta means nothing, is not kept.  On the focal line she
-    follows focal.line_segment instead.
+    On a focal tributary she keeps the case of the path ahead (one re-picked
+    from the state chatters on the tangency circle): One until it has no root,
+    which by solve_entry's proof is where she passes that circle, then Two.
+    Records solve the radius by focal.entry_root and trial stages continue it
+    by focal.entry_track (solving where it declines), both from the secant
+    through her last two records in that case.  Where it has no root the last
+    radius stands, and a solve at a trial state past the centre, where theta
+    means nothing, is not kept.  On the focal line: focal.line_segment.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
         self.params = params
-        self.cos_d = math.cos(delta_psi)
-        self.sin_d = math.sin(delta_psi)
-        self.s: float | None = None
-        self.case: focal.EntryCase | None = None
+        self.cos_d, self.sin_d = math.cos(delta_psi), math.sin(delta_psi)
+        self.reset()
 
     def reset(self) -> None:
-        self.s = None
-        self.case = None
+        self.s: float | None = None
+        self.case: focal.EntryCase | None = None
+        self.track = ((0.0, None, None),) * 2  # (t, s, case) of her last two records
 
-    def __call__(self, r_in: float, th: float) -> tuple[float, float]:
+    def __call__(self, r_in: float, th: float, t: float = 0.0, trial: bool = False) -> tuple[float, float]:
         mu = self.params.mu
         r = min(max(r_in, self.params.eps_r), 1.0)
         th = min(max(th, 0.0), _PI)
@@ -144,12 +145,17 @@ class _Lady:
             self.reset()
             c, s = -1.0, 0.0
         else:
-            found = focal.entry_root(r, th, self.params, self.case, self.s)
-            if found is None and self.case is focal.EntryCase.ONE:
-                found = focal.entry_root(r, th, self.params, focal.EntryCase.TWO, self.s)
-            entry = found or (self.s, self.case)
-            if r_in >= self.params.eps_r:
-                self.s, self.case = entry
+            (t0, s0, c0), (t1, s1, c1) = self.track
+            guess = s1 + (t - t1) * (s1 - s0) / (t1 - t0) if c0 is c1 is self.case and t0 < t1 else self.s
+            entry = focal.entry_track(r, th, self.params, self.case, guess) if trial and self.case else None
+            if entry is None:
+                found = focal.entry_root(r, th, self.params, self.case, guess)
+                if found is None and self.case is focal.EntryCase.ONE:
+                    found = focal.entry_root(r, th, self.params, focal.EntryCase.TWO, guess)
+                entry = found or (self.s, self.case)
+                if r_in >= self.params.eps_r:
+                    self.s, self.case = entry
+                    self.track = self.track if trial else (self.track[1], (t, *entry))
             c, s = focal.tributary_heading_at(r, *entry, mu)
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
@@ -241,14 +247,14 @@ def simulate(
         """M's canonical rate at a trial state, clamped to [-1, 1]."""
         return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
 
-    def stage(tt: float, rr: float, thh: float):
-        """Canonical (cos_psi, sin_psi, omega) at a trial state, and the rates
-        of (r, theta, alpha) they give."""
+    def stage(tt: float, rr: float, thh: float, trial: bool = True):
+        """Canonical (cos_psi, sin_psi, omega) at a trial state, or at a record
+        (not trial), and the rates of (r, theta, alpha) they give."""
         om = omega(tt, rr, thh)
         if fixed_heading is not None:
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
-            c, s_ = lady_s(rr, thh)
+            c, s_ = lady_s(rr, thh, tt, trial)
         dr, dth = rates(max(abs(rr), params.slack), c, s_, om, mu)
         return (c, s_, om), (dr, dth, sign * om)
 
@@ -261,7 +267,7 @@ def simulate(
         stage of the next step."""
         k = None
         if c is None:
-            (c, s_, om), k = stage(tt, rr, thh)
+            (c, s_, om), k = stage(tt, rr, thh, False)
         traj.t.append(tt)
         traj.r.append(rr)
         traj.theta.append(thh)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 
 from ladylake import classical, focal
 from ladylake.model import DomainError, GameParams, PolarState, RegionError
-from ladylake.solution import Region, classify
+from ladylake.solution import Region, classify, region_of
 
 MU = 0.3
 
@@ -336,3 +337,48 @@ class TestEntryMismatchMonotone:
             assert s_h == pytest.approx(entry.s, abs=1e-10)
         other = focal.EntryCase.TWO if case is focal.EntryCase.ONE else focal.EntryCase.ONE
         assert focal.entry_root(state.r, state.theta, params, other) is None
+
+
+class TestEntryTrack:
+    """The stage corrector either returns entry_root's radius or declines.
+
+    States lie on seeded tributaries (flowfield_sample at retrograde time tau
+    from an entry radius s), and each hint is the root displaced by 1e-6 to
+    1e-3, the size of an RK4 step's change at dt = 1e-3."""
+
+    DT = 1e-3
+
+    @staticmethod
+    def tau_of(kind, tau_bar, rng):
+        if kind == "anywhere":
+            return rng.uniform(0.0, 3.0 * tau_bar + 0.5)
+        if kind == "near_tangency":  # r close to s^2/mu, on either side of the turn
+            return tau_bar * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0))
+        return tau_bar * 10.0 ** rng.uniform(-9.0, -2.0)  # near_entry: case Two with s close to r
+
+    @pytest.mark.parametrize("kind,seed", [("anywhere", 1), ("near_tangency", 2), ("near_entry", 3)])
+    def test_matches_entry_root_or_declines(self, kind, seed):
+        rng = random.Random(seed)
+        accepted = declined = 0
+        while accepted + declined < 1000:
+            params = GameParams(rng.uniform(0.05, 0.95))
+            s = params.mu * rng.uniform(0.02, 1.0)
+            smp = focal.flowfield_sample(s, self.tau_of(kind, focal.tangency_time(s, params), rng), params)
+            if not (params.eps_r < smp.r < 1.0 and 0.0 < smp.theta < math.pi):
+                continue
+            if region_of(smp.r, smp.theta, params) is not Region.FOCAL_TRIBUTARY:
+                continue
+            for case in focal.EntryCase:
+                ref = focal.entry_root(smp.r, smp.theta, params, case)
+                shift = rng.choice((-1.0, 1.0)) * self.DT * 10.0 ** rng.uniform(-3.0, 0.0)
+                got = focal.entry_track(smp.r, smp.theta, params, case, (ref[0] if ref else s) + shift)
+                # A case with no root (the other side of the turn) must decline.
+                if ref is None or got is None:
+                    assert got is None, (kind, params.mu, smp, case)
+                    declined += ref is not None
+                    continue
+                accepted += 1
+                assert got[1] is case
+                assert got[0] == pytest.approx(ref[0], abs=1e-10), (kind, params.mu, smp, case)
+        # Away from the tangency circle most hints converge.
+        assert accepted > (700 if kind == "anywhere" else 0)

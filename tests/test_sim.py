@@ -752,7 +752,52 @@ class TestTangencyAtCoarseSteps:
         assert traj.t_final == pytest.approx(4.06315, abs=1e-3)
 
 
+class TestStageCorrector:
+    def test_one_full_solve_per_record(self, params, monkeypatch):
+        # Trial stages continue the radius by focal.entry_track; entry_root runs
+        # at the records, where the stages decline, and once more at the turn.
+        calls = {"root": 0, "track": 0, "declined": 0}
+        entry_root, entry_track = focal.entry_root, focal.entry_track
+
+        def root(*args):
+            calls["root"] += 1
+            return entry_root(*args)
+
+        def track(*args):
+            calls["track"] += 1
+            found = entry_track(*args)
+            calls["declined"] += found is None
+            return found
+
+        monkeypatch.setattr(focal, "entry_root", root)
+        monkeypatch.setattr(focal, "entry_track", track)
+        traj = sim.simulate(PolarState(0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN,
+                            dt=1e-3, params=params)
+        t_fl = next(t for t, kind in traj.events if kind == "fl_entry")
+        records = sum(t < t_fl for t in traj.t)
+        assert records > 2000
+        assert calls["root"] <= records + calls["declined"] + 1
+        assert calls["declined"] <= 0.05 * calls["track"]
+
+
 class TestDeviationReport:
+    @pytest.mark.parametrize(
+        "start,t_finals",
+        [
+            ((0.2, 1.0), (2.235718409663288, 2.2404089476634654, 1.8180826766503386,
+                          1.5997649229771125, 2.1858973880423984)),
+            # Criterion 11's worst start.
+            ((0.5612736039798538, 0.16934813511663976),
+             (3.444049412412579, 3.4488216320208007, 2.9033699054743876,
+              2.8705895978819744, 3.4416618120844005)),
+        ],
+        ids=["0.2-1.0", "criterion-11-worst"],
+    )
+    def test_run_times_are_pinned(self, params, start, t_finals):
+        # Run times with entry_root at every stage; the stage corrector keeps them.
+        _, rows = sim.deviation_report(PolarState(*start), params, dt=1e-3)
+        assert [row.time for row in rows] == pytest.approx(t_finals, abs=1e-6)
+
     def test_start_above_the_barrier_raises(self, params):
         # Its value is a terminal angle, so there is no t_eq to compare with.
         with pytest.raises(RegionError):
