@@ -62,6 +62,11 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
+# The writers format a whole row or point at once; "%.12g" % v == _fmt(v).
+_POINT = "%.12g,%.12g"
+_TRAJECTORY_ROW = ",".join(["%.12g"] * 10) + "\n"
+
+
 _SVG_STYLE = """\
   <style>
     polyline { fill: none; stroke-width: 1; }
@@ -90,7 +95,7 @@ def _svg_document(body: list[str]) -> str:
 
 
 def _polyline(points: list[tuple[float, float]], cls: str) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    pts = " ".join([_POINT % p for p in points])
     return f'  <polyline class="{cls}" points="{pts}" />'
 
 
@@ -212,8 +217,8 @@ def cmd_flowfield(args: argparse.Namespace) -> int:
         buf = io.StringIO()
         buf.write("trajectory,kind,r,theta\n")
         for idx, (cls, pts) in enumerate(paths):
-            for r, th in pts:
-                buf.write(f"{idx},{cls},{_fmt(r)},{_fmt(th)}\n")
+            row = f"{idx},{cls},{_POINT}\n"
+            buf.write("".join([row % p for p in pts]))
         text = buf.getvalue()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -221,19 +226,12 @@ def cmd_flowfield(args: argparse.Namespace) -> int:
 
 
 def _trajectory_csv(traj) -> str:
-    buf = io.StringIO()
-    buf.write("t,r,theta,x_L,y_L,x_M,y_M,cos_psi,sin_psi,omega\n")
-    cart = traj.cartesian()
-    for k in range(len(traj.t)):
-        xl, yl, xm, ym = cart[k]
-        row = (
-            traj.t[k], traj.r[k], traj.theta[k], xl, yl, xm, ym,
-            traj.cos_psi[k], traj.sin_psi[k], traj.omega[k],
-        )
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    for t, kind in traj.events:
-        buf.write(f"# event,{_fmt(t)},{kind}\n")
-    return buf.getvalue()
+    rows = zip(traj.t, traj.r, traj.theta, traj.cartesian(), traj.cos_psi, traj.sin_psi, traj.omega)
+    return "".join([
+        "t,r,theta,x_L,y_L,x_M,y_M,cos_psi,sin_psi,omega\n",
+        *[_TRAJECTORY_ROW % (t, r, th, *cart, c, s, w) for t, r, th, cart, c, s, w in rows],
+        *[f"# event,{_fmt(t)},{kind}\n" for t, kind in traj.events],
+    ])
 
 
 def _simulate_svg(traj) -> str:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .model import (
     ControlPair,
     DomainError,
@@ -307,27 +305,25 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     return s, case
 
 
-def _delta_grid(r: float, theta: float, s: np.ndarray, case: EntryCase, mu: float) -> np.ndarray:
-    """The mismatch over a grid of entry radii, with the legs and angles of
-    _legs taken in numpy; NaN where r < s^2/mu."""
-    a = s * s / mu
-    under_r = (r - a) * (r + a)
-    leg_r = np.sqrt(np.clip(under_r, 0.0, None))
-    legs = (leg_r, np.sqrt(np.clip((s - a) * (s + a), 0.0, None)),
-            np.arctan2(leg_r, a), np.arctan2(np.sqrt((mu - s) * (mu + s)), s))
-    delta = _delta(_times(legs, theta, case, mu))
-    delta[under_r < -GameParams.slack] = np.nan
-    return delta
-
-
 def _scan_case(
     r: float, theta: float, lo: float, hi: float, case: EntryCase, params: GameParams
 ) -> list[float]:
+    """Roots of the mismatch on [lo, hi]: a SCAN_POINTS grid with the legs and
+    angles of _legs taken in numpy (NaN where r < s^2/mu), each sign change
+    then bisected.  numpy is imported here, so only a scan loads it."""
     if hi <= lo:
         return []
+    import numpy as np
+
     mu = params.mu
     grid = np.linspace(lo, hi, SCAN_POINTS)
-    values = _delta_grid(r, theta, grid, case, mu)
+    a = grid * grid / mu
+    under_r = (r - a) * (r + a)
+    leg_r = np.sqrt(np.clip(under_r, 0.0, None))
+    legs = (leg_r, np.sqrt(np.clip((grid - a) * (grid + a), 0.0, None)),
+            np.arctan2(leg_r, a), np.arctan2(np.sqrt((mu - grid) * (mu + grid)), grid))
+    values = _delta(_times(legs, theta, case, mu))
+    values[under_r < -GameParams.slack] = np.nan
 
     def f(s: float) -> float:
         return _delta(_times(_legs(r, s, mu), theta, case, mu))

@@ -186,13 +186,14 @@ def reflect_controls(controls: ControlPair, reflected: bool) -> ControlPair:
 
 def to_cartesian(state: PolarState, man_angle: float) -> CartesianPose:
     """Place both agents in the non-rotating frame given M's shore angle."""
-    ang_L = man_angle + state.theta
-    return CartesianPose(
-        state.r * math.cos(ang_L),
-        state.r * math.sin(ang_L),
-        math.cos(man_angle),
-        math.sin(man_angle),
-    )
+    return CartesianPose(*cartesian_at(state.r, state.theta, man_angle))
+
+
+def cartesian_at(r: float, theta: float, man_angle: float) -> tuple[float, float, float, float]:
+    """(x_L, y_L, x_M, y_M) of to_cartesian on floats, unchecked, for a signed
+    theta; the one home of the lift."""
+    ang_L = man_angle + theta
+    return r * math.cos(ang_L), r * math.sin(ang_L), math.cos(man_angle), math.sin(man_angle)
 
 
 def from_cartesian(pose: CartesianPose) -> tuple[PolarState, float, bool]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import classical, focal, solution
-from .model import DomainError, GameParams, LakeGameError, PolarState, RegionError, rates
+from .model import DomainError, GameParams, LakeGameError, PolarState, RegionError, cartesian_at, rates
 from .solution import rollout
 
 _PI = math.pi
@@ -101,13 +101,9 @@ class Trajectory:
     t_final: float = 0.0
 
     def cartesian(self) -> list[tuple[float, float, float, float]]:
-        out = []
-        for r, th, al, mir in zip(self.r, self.theta, self.man_angle, self.mirror):
-            ang = al + (-th if mir else th)
-            out.append(
-                (r * math.cos(ang), r * math.sin(ang), math.cos(al), math.sin(al))
-            )
-        return out
+        """model.cartesian_at of every record, theta negated where it is mirrored."""
+        records = zip(self.r, self.theta, self.man_angle, self.mirror)
+        return [cartesian_at(r, -th if mir else th, al) for r, th, al, mir in records]
 
 
 class _Lady:

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ladylake import cli
-from ladylake.model import DomainError
+from ladylake.model import DomainError, GameParams, PolarState
+from ladylake.sim import simulate
 
 
 def run(capsys, *argv):
@@ -127,6 +128,43 @@ class TestSimulate:
         )
         assert code == 3
         assert "cannot write" in err
+
+
+def mirrored_run():
+    # A deviating lady against a switching man: RK4 records, mirrored ones included.
+    traj = simulate(PolarState(0.1, 0.05), cli.parse_strategy("lady", "fixed:0.6,-0.8"),
+                    cli.parse_strategy("man", "switching:0.3"), dt=1e-3, t_max=1.0,
+                    params=GameParams(0.4))
+    assert 0 < sum(traj.mirror) < len(traj.mirror)
+    return traj
+
+
+class TestWriters:
+    EDGE_ROWS = [
+        (-0.0, 0.0, math.inf, -math.inf, math.nan, 7, -1, 2**53, 5e-324, 1.0),
+        (1e300, -1e-300, 0.1, 1 / 3, -2.5, 123456789012345, 1e16, 1e-5, 1e21, -1e22),
+    ]
+
+    def test_rows_and_points_match_per_number_format(self):
+        traj = mirrored_run()
+        rows = [
+            (t, r, th, *cart, c, s, w) for t, r, th, cart, c, s, w in zip(
+                traj.t, traj.r, traj.theta, traj.cartesian(), traj.cos_psi, traj.sin_psi, traj.omega)
+        ] + self.EDGE_ROWS
+        for row in rows:
+            assert cli._TRAJECTORY_ROW % row == ",".join(cli._fmt(v) for v in row) + "\n"
+            for point in zip(row[::2], row[1::2]):
+                assert cli._POINT % point == ",".join(cli._fmt(v) for v in point)
+
+    def test_trajectory_csv_matches_per_number_format(self):
+        traj = mirrored_run()
+        lines = ["t,r,theta,x_L,y_L,x_M,y_M,cos_psi,sin_psi,omega"]
+        for k, cart in enumerate(traj.cartesian()):
+            row = (traj.t[k], traj.r[k], traj.theta[k], *cart,
+                   traj.cos_psi[k], traj.sin_psi[k], traj.omega[k])
+            lines.append(",".join(cli._fmt(v) for v in row))
+        lines += [f"# event,{cli._fmt(t)},{kind}" for t, kind in traj.events]
+        assert cli._trajectory_csv(traj) == "\n".join(lines) + "\n"
 
 
 class TestFlowfield:

@@ -1,10 +1,15 @@
 import ast
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import ladylake
 from ladylake.model import GameParams
@@ -89,3 +94,36 @@ def test_every_tolerance_has_a_reader():
             read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert "eps_r" in table
     assert [n for n in table if n not in read] == []
+
+
+# Runs argv through cli.main in a fresh interpreter (no argv: the import
+# alone) and prints whether numpy was loaded.
+NUMPY_PROBE = """\
+import contextlib, io, sys
+import ladylake.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ladylake.cli.main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),
+    (["solve", "--mu", "0.3", "--r", "0.9", "--theta", "3.0"], False),  # above the barrier
+    (["critical-mu"], False),
+    (["flowfield", "--mu", "0.3", "--game", "time", "--samples", "20", "--out", "{tmp}/f.svg"], False),
+    (["simulate", "--mu", "0.3", "--r0", "0.2", "--theta0", "1.0", "--out", "{tmp}/run.csv"], False),
+    (["solve", "--mu", "0.3", "--r", "0.05", "--theta", "2.5"], True),  # a focal tributary: the scan
+], ids=["import", "solve_above_barrier", "critical_mu", "flowfield_time", "simulate_eq_eq",
+        "solve_focal_tributary"])
+def test_only_the_scan_loads_numpy(argv, loads_numpy, tmp_path):
+    # numpy costs most of a command's start-up, and only focal.solve_entry's
+    # scan uses it.
+    src = Path(ladylake.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_numpy)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ladylake import classical, focal, sim, solution
-from ladylake.model import DomainError, GameParams, PolarState, RegionError, rates
+from ladylake.model import DomainError, GameParams, PolarState, RegionError, rates, to_cartesian
 
 MU = 0.3
 
@@ -428,6 +428,19 @@ class TestTrajectoryRecord:
         for (x, y, mx, my), r in zip(cart, traj.r):
             assert math.hypot(x, y) == pytest.approx(r, abs=1e-12)
             assert math.hypot(mx, my) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cartesian_is_the_model_lift(self):
+        # A mirrored record lifts as the reflection of its canonical state
+        # lifted from the reflected shore angle.
+        traj = sim.simulate(PolarState(0.1, 0.05), sim.StrategySpec.fixed_heading(0.6, -0.8),
+                            sim.StrategySpec.switching_omega(0.3), dt=1e-3, t_max=1.0,
+                            params=GameParams(0.4))
+        assert 0 < sum(traj.mirror) < len(traj.mirror)
+        for cart, r, th, al, mir in zip(traj.cartesian(), traj.r, traj.theta,
+                                        traj.man_angle, traj.mirror):
+            pose = to_cartesian(PolarState(r, th), -al if mir else al)
+            sign = -1.0 if mir else 1.0
+            assert cart == (pose.x_L, sign * pose.y_L, pose.x_M, sign * pose.y_M)
 
     def test_controls_unit_norm(self, params):
         traj = eq_run(PolarState(0.05, 2.5), params)
