@@ -33,6 +33,7 @@ SVG_W = 800
 SVG_H = 600
 SVG_PAD = 40
 CART_SPAN = 2.2  # Cartesian frames cover [-1.1, 1.1] in both axes.
+_CART_SCALE = (min(SVG_W, SVG_H) - 2 * SVG_PAD) / CART_SPAN  # pixels per unit length
 
 
 def polar_to_px(r: float, theta: float) -> tuple[float, float]:
@@ -49,13 +50,11 @@ def px_to_polar(x: float, y: float) -> tuple[float, float]:
 
 
 def cart_to_px(x: float, y: float) -> tuple[float, float]:
-    scale = (min(SVG_W, SVG_H) - 2 * SVG_PAD) / CART_SPAN
-    return SVG_W / 2 + x * scale, SVG_H / 2 - y * scale
+    return SVG_W / 2 + x * _CART_SCALE, SVG_H / 2 - y * _CART_SCALE
 
 
 def px_to_cart(px: float, py: float) -> tuple[float, float]:
-    scale = (min(SVG_W, SVG_H) - 2 * SVG_PAD) / CART_SPAN
-    return (px - SVG_W / 2) / scale, (SVG_H / 2 - py) / scale
+    return (px - SVG_W / 2) / _CART_SCALE, (SVG_H / 2 - py) / _CART_SCALE
 
 
 def _fmt(v: float) -> str:
@@ -225,17 +224,16 @@ def cmd_flowfield(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_csv(traj) -> str:
-    rows = zip(traj.t, traj.r, traj.theta, traj.cartesian(), traj.cos_psi, traj.sin_psi, traj.omega)
+def _trajectory_csv(traj, cart) -> str:
+    rows = zip(traj.t, traj.r, traj.theta, cart, traj.cos_psi, traj.sin_psi, traj.omega)
     return "".join([
         "t,r,theta,x_L,y_L,x_M,y_M,cos_psi,sin_psi,omega\n",
-        *[_TRAJECTORY_ROW % (t, r, th, *cart, c, s, w) for t, r, th, cart, c, s, w in rows],
+        *[_TRAJECTORY_ROW % (t, r, th, *xy, c, s, w) for t, r, th, xy, c, s, w in rows],
         *[f"# event,{_fmt(t)},{kind}\n" for t, kind in traj.events],
     ])
 
 
-def _simulate_svg(traj) -> str:
-    cart = traj.cartesian()
+def _simulate_svg(cart) -> str:
     lady = [cart_to_px(x, y) for x, y, _, _ in cart]
     man = [cart_to_px(xm, ym) for _, _, xm, ym in cart]
     cx, cy = cart_to_px(0.0, 0.0)
@@ -258,7 +256,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lady = parse_strategy("lady", args.lady)
     man = parse_strategy("man", args.man)
     traj = simulate(state, lady, man, dt=args.dt, t_max=args.t_max, params=params)
-    csv_text = _trajectory_csv(traj)
+    cart = traj.cartesian()
+    csv_text = _trajectory_csv(traj, cart)
     if args.out is None:
         sys.stdout.write(csv_text)
     else:
@@ -266,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fh.write(csv_text)
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_simulate_svg(traj))
+            fh.write(_simulate_svg(cart))
     return 0
 
 

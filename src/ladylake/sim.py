@@ -12,6 +12,7 @@ theta = 0 or pi either snap onto the singular line or mirror the frame.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -412,6 +413,26 @@ class DeviationRow:
     outcome: str
 
 
+def _deviation_run(job: tuple) -> tuple[str, float]:
+    """(outcome, t_final) of one deviation run; simulate is looked up per call."""
+    run = simulate(*job)
+    return run.outcome, run.t_final
+
+
+def _map_runs(jobs: list[tuple]) -> list[tuple[str, float]]:
+    """_deviation_run over jobs in order; deviation_report says where it forks."""
+    import multiprocessing.pool  # here, so that only this call loads it
+    import threading
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return list(map(_deviation_run, jobs))
+    # One job per task in row order, so the long delta_psi=-0.05 run overlaps the others.
+    with multiprocessing.pool.Pool(workers, context=multiprocessing.get_context("fork")) as pool:
+        return pool.map(_deviation_run, jobs, chunksize=1)
+
+
 def deviation_report(
     initial: PolarState, params: GameParams, dt: float = 1e-3
 ) -> tuple[float, list[DeviationRow]]:
@@ -420,6 +441,11 @@ def deviation_report(
     value is a terminal angle).  L-deviations should not arrive earlier than
     t_eq, M-deviations should not make feedback-L arrive later; a pass is
     margin >= -tolerance on every row.
+
+    The five runs are independent and run at once on up to five forked worker
+    processes, one per CPU available.  They run in-process with one CPU,
+    without fork, in a daemonic caller (which may have no children) or beside
+    other threads (where a fork is unsafe); the rows are the same either way.
     """
     adv = solution.advise(initial, params, omega_now=1.0)
     if adv.value_kind is not solution.ValueKind.TIME_TO_E:
@@ -433,14 +459,14 @@ def deviation_report(
         ("man", "constant_omega=0", eq_lady, StrategySpec.constant_omega(0.0)),
         ("man", "switching_omega(period=0.2)", eq_lady, StrategySpec.switching_omega(0.2)),
     )
+    results = _map_runs([(initial, lady, man, dt, t_max, params) for _, _, lady, man in runs])
     rows: list[DeviationRow] = []
-    for side, label, lady, man in runs:
-        run = simulate(initial, lady, man, dt, t_max, params)
+    for (side, label, _, _), (outcome, t_final) in zip(runs, results):
         # A run that never reaches E fails the check whichever side deviated:
         # it is scored t_eq - t_max, which stays finite and JSON-safe.
-        if run.outcome != "reached_e":
+        if outcome != "reached_e":
             margin = t_eq - t_max
         else:
-            margin = run.t_final - t_eq if side == "lady" else t_eq - run.t_final
-        rows.append(DeviationRow(side, label, run.t_final, margin, run.outcome))
+            margin = t_final - t_eq if side == "lady" else t_eq - t_final
+        rows.append(DeviationRow(side, label, t_final, margin, outcome))
     return t_eq, rows

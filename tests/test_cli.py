@@ -164,7 +164,7 @@ class TestWriters:
                    traj.cos_psi[k], traj.sin_psi[k], traj.omega[k])
             lines.append(",".join(cli._fmt(v) for v in row))
         lines += [f"# event,{cli._fmt(t)},{kind}" for t, kind in traj.events]
-        assert cli._trajectory_csv(traj) == "\n".join(lines) + "\n"
+        assert cli._trajectory_csv(traj, traj.cartesian()) == "\n".join(lines) + "\n"
 
 
 class TestFlowfield:

@@ -1,5 +1,10 @@
+import functools
 import math
+import multiprocessing
+import os
 import random
+import threading
+import types
 
 import pytest
 
@@ -12,6 +17,12 @@ MU = 0.3
 @pytest.fixture
 def params():
     return GameParams(MU)
+
+
+# Whether deviation_report can fork its workers here.
+FORK = "fork" in multiprocessing.get_all_start_methods()
+WORST_11 = (0.5612736039798538, 0.16934813511663976)  # criterion 11's worst start
+SIMULATE = sim.simulate  # unpatched, for the serial reference
 
 
 def eq_run(state, params, dt=1e-4, t_max=20.0):
@@ -799,8 +810,7 @@ class TestDeviationReport:
         [
             ((0.2, 1.0), (2.235718409663288, 2.2404089476634654, 1.8180826766503386,
                           1.5997649229771125, 2.1858973880423984)),
-            # Criterion 11's worst start.
-            ((0.5612736039798538, 0.16934813511663976),
+            (WORST_11,
              (3.444049412412579, 3.4488216320208007, 2.9033699054743876,
               2.8705895978819744, 3.4416618120844005)),
         ],
@@ -849,3 +859,81 @@ class TestDeviationReport:
             assert row.outcome == "timeout"
             assert row.margin == pytest.approx(t_eq - 20.0)
             assert row.margin < -1e-3
+
+    @staticmethod
+    @functools.cache
+    def serial_rows(start):
+        # The report as five simulate calls one after another, in row order.
+        params, state = GameParams(MU), PolarState(*start)
+        t_eq = solution.advise(state, params, omega_now=1.0).value
+        eq_lady, eq_man = sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")
+        rows = []
+        for side, label, lady, man in (
+            ("lady", "delta_psi=+0.05", sim.StrategySpec.perturbed(0.05), eq_man),
+            ("lady", "delta_psi=-0.05", sim.StrategySpec.perturbed(-0.05), eq_man),
+            ("man", "constant_omega=0.8", eq_lady, sim.StrategySpec.constant_omega(0.8)),
+            ("man", "constant_omega=0", eq_lady, sim.StrategySpec.constant_omega(0.0)),
+            ("man", "switching_omega(period=0.2)", eq_lady, sim.StrategySpec.switching_omega(0.2)),
+        ):
+            run = SIMULATE(state, lady, man, 1e-3, 20.0, params)
+            if run.outcome != "reached_e":
+                margin = t_eq - 20.0
+            else:
+                margin = run.t_final - t_eq if side == "lady" else t_eq - run.t_final
+            rows.append(sim.DeviationRow(side, label, run.t_final, margin, run.outcome))
+        return t_eq, rows
+
+    @pytest.fixture
+    def parent_calls(self, monkeypatch):
+        # The simulate calls made in this process; a forked worker's are not.
+        calls, simulate = [], sim.simulate
+
+        def recorded(*args):
+            calls.append(args[1:3])
+            return simulate(*args)
+
+        monkeypatch.setattr(sim, "simulate", recorded)
+        return calls
+
+    @pytest.mark.parametrize("start", [(0.2, 1.0), WORST_11], ids=["0.2-1.0", "criterion-11-worst"])
+    def test_pooled_rows_equal_serial_runs(self, params, monkeypatch, parent_calls, start):
+        expected = self.serial_rows(start)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert sim.deviation_report(PolarState(*start), params, dt=1e-3) == expected
+        assert len(parent_calls) == (0 if FORK else 5)
+
+    def test_worker_error_reaches_caller(self, params, monkeypatch):
+        def still_man_fails(initial, lady, man, dt, t_max, params):
+            if man.kind == "constant_omega" and man.value == 0.0:
+                raise DomainError("no run against a man who stands still")
+            return sim.Trajectory(outcome="reached_e", t_final=1.0)
+
+        monkeypatch.setattr(sim, "simulate", still_man_fails)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(DomainError, match="^no run against a man who stands still$") as info:
+            sim.deviation_report(PolarState(0.2, 1.0), params)
+        assert type(info.value) is DomainError
+
+    @pytest.mark.parametrize("fallback", ["one_cpu", "no_fork", "daemonic", "other_thread"])
+    def test_runs_in_process_where_no_fork_helps(self, params, monkeypatch, parent_calls, fallback):
+        # Two CPUs but for one_cpu, so only the case under test keeps the runs here.
+        cpus = {0} if fallback == "one_cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if fallback == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        elif fallback == "daemonic":
+            monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60.0,))
+        if fallback == "other_thread":
+            other.start()
+        try:
+            report = sim.deviation_report(PolarState(0.2, 1.0), params, dt=1e-3)
+        finally:
+            stop.set()
+            if other.ident is not None:
+                other.join(timeout=60.0)
+        assert not other.is_alive()
+        assert report == self.serial_rows((0.2, 1.0))
+        assert [man.kind for _, man in parent_calls] == [
+            "equilibrium", "equilibrium", "constant_omega", "constant_omega", "switching_omega"]
