@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eq | fixed:C,S | perturbed:D")
     p.add_argument("--man", default="eq",
                    help="eq | constant:W | switching:T")
-    p.add_argument("--dt", type=float, default=1e-4)
+    p.add_argument("--dt", type=float, default=1e-4,
+                   help="record spacing; the run itself does not depend on it")
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--svg", default=None, help="optional Cartesian SVG path")
@@ -346,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification sweeps, emit JSON report")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--grid", type=int, default=50)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=1e-3,
+                   help="record spacing of the deviation runs; their rows do not depend on it")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("critical-mu", help="critical speed ratio")

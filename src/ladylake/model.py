@@ -60,6 +60,7 @@ class GameParams:
     eps_r: ClassVar[float] = 1e-9  # theta is singular below this radius
     tol_root: ClassVar[float] = 1e-12  # bracket width at which a root search stops
     tol_event: ClassVar[float] = 1e-9  # band of an event, a singular line or the barrier
+    tol_step: ClassVar[float] = 1e-11  # local error of a closed-loop integration step
     slack: ClassVar[float] = 1e-12  # rounding allowed past a closed-form range or a unit norm
     input_slack: ClassVar[float] = 1e-9  # the same allowance for headings and poses given
     # Offset from E of perfbench's snap_in/snap_out probes, read only there (as

@@ -1,17 +1,21 @@
 """Closed-loop forward simulation of the relative dynamics.
 
 Equilibrium lady against equilibrium man samples solution.rollout, the
-paper's closed-form path, on the time grid.  Other runs take fixed-step RK4
-with feedback strategies and bisection event refinement (focal-line entry,
-origin passage, shore exit, barrier crossings), the lady's entry radius solved
-at records and continued at stages; one who plays the focal-line control
-follows its closed form once on theta = pi.
-The integrated state is kept in the canonical half-plane; crossings of
-theta = 0 or pi either snap onto the singular line or mirror the frame.
+paper's closed-form path, on the time grid.  Other runs integrate the
+feedback strategies with error-controlled Dormand–Prince 5(4) steps, every
+discontinuity of the right-hand side at a step end: switch times bound the
+steps, and events (focal-line entry, tangency, origin passage, shore exit,
+barrier crossings) are located on the steps' interpolants.  Records are
+taken from the interpolants, so the time grid spaces them and changes
+nothing else.  A lady who plays the focal-line control follows its closed
+form once on theta = pi.  The integrated state is kept in the canonical
+half-plane; crossings of theta = 0 or pi either snap onto the singular line
+or mirror the frame.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,7 +89,10 @@ class Trajectory:
     """Recorded closed-loop run.
 
     Controls are in the true (unmirrored) frame; theta is canonical.
-    outcome is 'reached_e', 'reached_shore', or 'timeout'.
+    outcome is 'reached_e', 'reached_shore', or 'timeout'.  steps and
+    rejected count the integrator's accepted and rejected steps, and
+    evaluations its strategy evaluations, records included; a run played in
+    closed form has none of them.
     """
 
     t: list[float] = field(default_factory=list)
@@ -100,6 +107,9 @@ class Trajectory:
     outcome: str = "timeout"
     theta_f: float | None = None
     t_final: float = 0.0
+    steps: int = 0
+    rejected: int = 0
+    evaluations: int = 0
 
     def cartesian(self) -> list[tuple[float, float, float, float]]:
         """model.cartesian_at of every record, theta negated where it is mirrored."""
@@ -114,76 +124,186 @@ class _Lady:
     On a focal tributary she keeps the case of the path ahead (one re-picked
     from the state chatters on the tangency circle): One until it has no root,
     which by solve_entry's proof is where she passes that circle, then Two.
-    Records solve the radius by focal.entry_root and trial stages continue it
-    by focal.entry_track (solving where it declines), both from the secant
-    through her last two records in that case.  Where it has no root the last
-    radius stands, and a solve at a trial state past the centre, where theta
-    means nothing, is not kept.  On the focal line: focal.line_segment.
+    An evaluation writes no memory.  It continues her radius by
+    focal.entry_track from the parabola through the radii she kept at her
+    last three step ends in that case, solving by focal.entry_root where it
+    declines.
+    Where case One has no root she steers by case Two's, and where case Two
+    has none by the end of its bracket, s_hi, where that root left it; once
+    the simulator has located that loss (freeze), she steers by the radius
+    kept there.  commit keeps the entry of an evaluation at a step end, but
+    not one past the centre, where theta means nothing.  On the focal line:
+    focal.line_segment.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
         self.params = params
         self.cos_d, self.sin_d = math.cos(delta_psi), math.sin(delta_psi)
+        self.last = None  # (region, entry) of the last evaluation
         self.reset()
 
     def reset(self) -> None:
         self.s: float | None = None
         self.case: focal.EntryCase | None = None
-        self.track = ((0.0, None, None),) * 2  # (t, s, case) of her last two records
+        self.frozen = False
+        self.track = ((0.0, None),) * 3  # (t, s) at her last three commits in self.case
 
-    def __call__(self, r_in: float, th: float, t: float = 0.0, trial: bool = False) -> tuple[float, float]:
-        mu = self.params.mu
-        r = min(max(r_in, self.params.eps_r), 1.0)
-        th = min(max(th, 0.0), _PI)
-        region = solution.region_of(r, th, self.params)
+    def predict(self, t: float) -> float | None:
+        """Her radius at t on the parabola through her last three kept radii
+        (Newton's divided differences), the secant through two, else the last."""
+        (ta, sa), (t0, s0), (t1, s1) = self.track
+        if s0 is None or not t0 < t1:
+            return self.s
+        d1 = (s1 - s0) / (t1 - t0)
+        if sa is None or not ta < t0:
+            return s1 + (t - t1) * d1
+        return s1 + (t - t1) * (d1 + (t - t0) * (d1 - (s0 - sa) / (t0 - ta)) / (t1 - ta))
+
+    def __call__(self, r_in: float, th: float, t: float = 0.0,
+                 classical_side: bool | None = None) -> tuple[float, float]:
+        """Canonical (cos_psi, sin_psi) at a state, with self.last set to its
+        region and its entry: (s, case) on a focal tributary, case None where
+        case Two has no root, else None.  classical_side, if given, is the
+        side of the barrier taken as hers instead of the state's own."""
+        params = self.params
+        mu = params.mu
+        r = params.eps_r if r_in < params.eps_r else 1.0 if r_in > 1.0 else r_in
+        th = 0.0 if th < 0.0 else _PI if th > _PI else th
+        if classical_side is None:
+            region = solution.region_of(r, th, params)
+        elif classical_side or r >= 1.0 - params.tol_event:
+            region = solution.Region.ABOVE_BARRIER
+        else:
+            region = solution.min_time_region(r, th, params)
+        entry = None
         if region in solution.CLASSICAL_REGIONS:
             c, s = classical.classical_heading_at(r, mu)
         elif region in solution.UNIVERSAL_REGIONS:
-            self.reset()
             c, s = -1.0, 0.0
+        elif self.frozen:
+            entry = (self.s, self.case)
+            c, s = focal.tributary_heading_at(r, self.s, self.case, mu)
         else:
-            (t0, s0, c0), (t1, s1, c1) = self.track
-            guess = s1 + (t - t1) * (s1 - s0) / (t1 - t0) if c0 is c1 is self.case and t0 < t1 else self.s
-            entry = focal.entry_track(r, th, self.params, self.case, guess) if trial and self.case else None
+            case, guess = self.case, self.predict(t)
+            entry = focal.entry_track(r, th, params, case, guess) if case else None
             if entry is None:
-                found = focal.entry_root(r, th, self.params, self.case, guess)
-                if found is None and self.case is focal.EntryCase.ONE:
-                    found = focal.entry_root(r, th, self.params, focal.EntryCase.TWO, guess)
-                entry = found or (self.s, self.case)
-                if r_in >= self.params.eps_r:
-                    self.s, self.case = entry
-                    self.track = self.track if trial else (self.track[1], (t, *entry))
-            c, s = focal.tributary_heading_at(r, *entry, mu)
+                entry = focal.entry_root(r, th, params, case, guess)
+                if entry is None and case is focal.EntryCase.ONE:
+                    entry = focal.entry_root(r, th, params, focal.EntryCase.TWO, guess)
+                entry = entry or (min(mu, math.sqrt(mu * r)), None)
+            c, s = focal.tributary_heading_at(r, entry[0], entry[1], mu)
+        self.last = (region, entry)
+        if self.sin_d == 0.0:
+            return c, s
         return c * self.cos_d - s * self.sin_d, s * self.cos_d + c * self.sin_d
 
+    def commit(self, t: float, r: float, last) -> None:
+        """Keep the entry of an evaluation made at a step end t, at radius r."""
+        region, entry = last
+        if region in solution.UNIVERSAL_REGIONS:
+            self.reset()
+        elif entry is not None and entry[1] is not None and not self.frozen and r >= self.params.eps_r:
+            s, case = entry
+            self.track = (*self.track[1:], (t, s)) if case is self.case else ((t, None), (t, None), (t, s))
+            self.s, self.case = entry
 
-def _rk4(deriv, t: float, r: float, theta: float, alpha: float, h: float, k1):
-    """One RK4 step of (r, theta, alpha) over h; deriv(t, r, theta) gives their
-    rates, and k1 is its value at the start."""
-    d1r, d1t, d1a = k1
-    d2r, d2t, d2a = deriv(t + 0.5 * h, r + 0.5 * h * d1r, theta + 0.5 * h * d1t)
-    d3r, d3t, d3a = deriv(t + 0.5 * h, r + 0.5 * h * d2r, theta + 0.5 * h * d2t)
-    d4r, d4t, d4a = deriv(t + h, r + h * d3r, theta + h * d3t)
-    return (
-        r + h / 6.0 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r),
-        theta + h / 6.0 * (d1t + 2.0 * d2t + 2.0 * d3t + d4t),
-        alpha + h / 6.0 * (d1a + 2.0 * d2a + 2.0 * d3a + d4a),
-    )
+    def turn(self) -> None:
+        """Case Two from here: she has passed the tangency circle."""
+        self.case, self.track = focal.EntryCase.TWO, ((0.0, None),) * 3
+
+    def freeze(self, s: float) -> None:
+        """Steer by s from here: case Two's root has left its bracket at s."""
+        self.s, self.case, self.frozen = s, focal.EntryCase.TWO, True
 
 
-def _crossing(g, step, h: float, tol: float) -> float:
-    """First sub-step of (0, h] found past the zero of g(r, theta) along
-    step(sigma) -> (r, theta, alpha), given g > 0 at 0 and <= 0 at h: at
-    most 60 halvings, down to a bracket of tol."""
-    lo, hi = 0.0, h
+# Dormand–Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5):
+# each stage's node and row; the last row is the fifth-order weights, so the
+# last stage is the rate at the step's end, the next step's first (FSAL).
+_DP_STAGES = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+# The fifth-order weights less the fourth-order ones: the local error estimate.
+_DP_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Per stage, the coefficients of x, x^2, x^3, x^4 in its weight at x = (t -
+# t0)/h in the order-4 interpolant; each row sums to its fifth-order weight.
+_DP_DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+_DP_DENSE_COLUMNS = tuple(zip(*_DP_DENSE))
+
+
+def _dp45(deriv, t: float, y: tuple[float, float, float], h: float, k1):
+    """One Dormand–Prince 5(4) step of y = (r, theta, alpha) over h.
+
+    deriv(t, r, theta) returns a tuple that starts with the rates of (r,
+    theta, alpha), and k1 is its value at the start.  Returns the fifth-order
+    end state, the seven stages (the last one deriv's value at the end state)
+    and the local error estimate: the largest of the lady's radial and
+    tangential displacement (r times the error in theta, r up to 1) and the
+    error in the man's angle.  Near the centre theta changes fast and means
+    little, so an absolute theta error would cost steps and buy nothing.
+    """
+    r, th, al = y
+    ks = [k1]
+    for c, row in _DP_STAGES:
+        dr = dth = 0.0
+        for a, k in zip(row, ks):
+            dr += a * k[0]
+            dth += a * k[1]
+        ks.append(deriv(t + c * h, r + h * dr, th + h * dth))
+    dal = er = eth = eal = 0.0
+    for b, e, k in zip(_DP_STAGES[-1][1] + (0.0,), _DP_ERROR, ks):
+        dal += b * k[2]
+        er += e * k[0]
+        eth += e * k[1]
+        eal += e * k[2]
+    err = h * max(abs(er), min(1.0, max(abs(r), abs(r + h * dr))) * abs(eth), abs(eal))
+    return (r + h * dr, th + h * dth, al + h * dal), ks, err
+
+
+def _dense(t: float, y: tuple[float, float, float], h: float, ks):
+    """The interpolant of the step of _dp45 from (t, y) over h: a function
+    from a time in [t, t + h] to (r, theta, alpha)."""
+    (r, th, al), q = y, []
+    for i in range(3):
+        rates = [h * k[i] for k in ks]
+        q.append([sum(map(operator.mul, column, rates)) for column in _DP_DENSE_COLUMNS])
+    (r0, r1, r2, r3), (t0_, t1_, t2_, t3_), (a0, a1, a2, a3) = q
+
+    def at(tt: float) -> tuple[float, float, float]:
+        x = (tt - t) / h
+        return (r + x * (r0 + x * (r1 + x * (r2 + x * r3))),
+                th + x * (t0_ + x * (t1_ + x * (t2_ + x * t3_))),
+                al + x * (a0 + x * (a1 + x * (a2 + x * a3))))
+
+    return at
+
+
+def _locate(past, at, lo: float, hi: float, tol: float) -> float:
+    """First time found in (lo, hi] at which past(t, r, theta) holds on the
+    interpolant at, given that it holds at hi and not at lo: at most 60
+    halvings, down to a bracket of tol."""
     for _ in range(60):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if g(*step(mid)[:2]) > 0.0:
-            lo = mid
-        else:
+        if past(mid, *at(mid)[:2]):
             hi = mid
+        else:
+            lo = mid
     return hi
 
 
@@ -205,18 +325,30 @@ def simulate(
     t_max: float = 20.0,
     params: GameParams | None = None,
 ) -> Trajectory:
-    """Run the closed loop from an initial canonical state.
+    """Run the closed loop from an initial canonical state, recording every dt.
 
     Equilibrium lady against equilibrium man samples rollout(initial) on the
     dt grid, each step cut at a segment's end and each record taken from the
     segment in force there, so its events and t_final are the rollout's.
-    The eq/eq starts that stay on RK4 instead:
+    The eq/eq starts that are integrated instead:
     - a classical path with V <= tol_event (below the critical mu), which
       reaches theta = 0 before the shore.
 
-    Other runs take RK4 steps with the controls re-evaluated at every stage
-    and events refined by bisection, until a lady who plays the focal-line
-    control is on theta = pi; from there she follows focal.line_segment.
+    Other runs take Dormand–Prince 5(4) steps (_dp45) that hold the local
+    error to tol_step, until a lady who plays the focal-line control is on
+    theta = pi; from there she follows focal.line_segment.  dt is only the
+    record spacing, counted from the last event: a record's state comes from
+    its step's interpolant and its controls from one strategy evaluation,
+    and the lady's memory is written only at step ends, so events and
+    t_final do not depend on dt.  Each discontinuity of the right-hand side
+    ends a step.  The switching man's switch times bound the steps, each
+    step taking his rate on its open interval.  The rest are events located
+    on the interpolant: shore_exit, origin_passage, theta = 0 or pi crossed
+    (a snapping lady enters the singular line, else the frame is mirrored),
+    the case-Two focal-line entry (r meets her entry radius, continued along
+    the step by focal.entry_track), tangency (case One loses its root), the
+    loss of case Two's root, the end of a slide along theta = 0 or pi, and
+    barrier_crossing (she enters or leaves the classical game's side).
     """
     if params is None:
         raise DomainError("params is required")
@@ -224,56 +356,65 @@ def simulate(
         raise DomainError("dt and t_max must be finite and positive")
     if lady.side != "lady" or man.side != "man":
         raise DomainError("a lady strategy and a man strategy are required")
-    mu, tol = params.mu, params.tol_event
+    mu, tol, slack, eps_r = params.mu, params.tol_event, params.slack, params.eps_r
     segments = None
     if lady.kind == man.kind == "equilibrium":
         try:
             segments, events = rollout(initial, params)
         except RegionError:
-            pass  # the docstring's list of starts that stay on RK4
+            pass  # the docstring's list of starts that are integrated
     lady_s = _Lady(params, lady.delta_psi)
     fixed_heading = lady.heading if lady.kind == "fixed_heading" else None
     snap_to_fl = fixed_heading is None
     man_rate = _man_rate(man, params)
     man_eq = man.kind == "equilibrium"
+    period = man.period if man.kind == "switching_omega" else None
+    # The equilibrium man stands still within tol_event of theta = 0, so a
+    # snapping lady who reaches that band has reached the universal line.
+    band = tol if man_eq and snap_to_fl else 0.0
 
     r, th, alpha, sign = initial.r, initial.theta, 0.0, 1.0
     traj = Trajectory()
+    om_step = None  # M's canonical rate over the step, or None for the equilibrium man's
+    line = None  # the line (0.0 or pi) she slides along, theta held, or None
+    pinned = False  # at the centre with her heading into it: r and theta held
+    side = False  # whether the step is on the classical side of the barrier
+    evaluations = 0
 
     def omega(tt: float, rr: float, thh: float) -> float:
-        """M's canonical rate at a trial state, clamped to [-1, 1]."""
+        """M's canonical rate at a state, clamped to [-1, 1]."""
         return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
 
-    def stage(tt: float, rr: float, thh: float, trial: bool = True):
-        """Canonical (cos_psi, sin_psi, omega) at a trial state, or at a record
-        (not trial), and the rates of (r, theta, alpha) they give."""
-        om = omega(tt, rr, thh)
+    def stage(tt: float, rr: float, thh: float):
+        """Rates of (r, theta, alpha) at a state, then the canonical controls
+        (cos_psi, sin_psi, omega) and the lady's (region, entry) there."""
+        nonlocal evaluations
+        evaluations += 1
+        om = om_step if om_step is not None else (0.0 if thh <= tol else 1.0)
         if fixed_heading is not None:
-            c, s_ = fixed_heading[0], sign * fixed_heading[1]
+            c, s_, last = fixed_heading[0], sign * fixed_heading[1], None
         else:
-            c, s_ = lady_s(rr, thh, tt, trial)
-        dr, dth = rates(max(abs(rr), params.slack), c, s_, om, mu)
-        return (c, s_, om), (dr, dth, sign * om)
+            c, s_ = lady_s(rr, thh, tt, side)
+            last = lady_s.last
+        dr, dth = rates(max(abs(rr), slack), c, s_, om, mu)
+        if pinned:
+            return 0.0, 0.0, sign * om, (c, s_, om), last
+        return dr, (0.0 if line is not None else dth), sign * om, (c, s_, om), last
 
-    def deriv(tt: float, rr: float, thh: float) -> tuple[float, float, float]:
-        return stage(tt, rr, thh)[1]
+    t_add, r_add, th_add, al_add, mirror_add, c_add, s_add, om_add = (
+        traj.t.append, traj.r.append, traj.theta.append, traj.man_angle.append,
+        traj.mirror.append, traj.cos_psi.append, traj.sin_psi.append, traj.omega.append)
 
-    def record(tt, al, rr, thh, c=None, s_=None, om=None):
-        """Append a state and its canonical controls in the true frame; an
-        integrated state, given no controls, returns its rates, the first
-        stage of the next step."""
-        k = None
-        if c is None:
-            (c, s_, om), k = stage(tt, rr, thh, False)
-        traj.t.append(tt)
-        traj.r.append(rr)
-        traj.theta.append(thh)
-        traj.man_angle.append(al)
-        traj.mirror.append(1 if sign < 0.0 else 0)
-        traj.cos_psi.append(c)
-        traj.sin_psi.append(sign * min(1.0, max(-1.0, s_)))
-        traj.omega.append(sign * om)
-        return k
+    def record(tt, al, rr, thh, c, s_, om) -> None:
+        """Append a state and its canonical controls in the true frame."""
+        t_add(tt)
+        r_add(rr)
+        th_add(thh)
+        al_add(al)
+        mirror_add(1 if sign < 0.0 else 0)
+        c_add(c)
+        s_add(sign * min(1.0, max(-1.0, s_)))
+        om_add(sign * om)
 
     def follow(segs) -> bool:
         """Record closed-form segments on the dt grid from t, each step cut at
@@ -286,121 +427,264 @@ def simulate(
             seg = segs[i]
             om = seg.omega(t)
             record(t, alpha, *seg.state(t), om)
-            if t >= seg.t1 or t >= t_max - params.slack:
+            if t >= seg.t1 or t >= t_max - slack:
                 return t >= seg.t1
             h = min(dt, t_max - t, seg.t1 - t)
             alpha += h / 6.0 * sign * (om + 4.0 * seg.omega(t + 0.5 * h) + seg.omega(t + h))
             t = seg.t1 if h == seg.t1 - t else t + h
 
-    def slides(tt: float, rr: float) -> bool:
-        """Whether a snapping lady on theta = 0 slides along it: the
-        equilibrium man stands still there, or theta' <= 0 in the mirrored
-        frame too, where M's canonical rate changes sign and her heading
-        does not."""
-        if man_eq:
-            return True
-        c, s_ = lady_s(rr, 0.0)
-        om = min(1.0, max(-1.0, -sign * man_rate(tt, rr, 0.0)))
-        return rates(max(abs(rr), params.slack), c, s_, om, mu)[1] <= 0.0
+    def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:
+        """theta' on the line thh (0 or pi) in this frame and in the mirrored
+        one, where M's canonical rate changes sign and her heading does not.
+        Next to a snapping lady the equilibrium man runs at 1 (he stands
+        still only within tol_event of theta = 0), so she slides along
+        theta = 0 while that rate holds her there."""
+        if fixed_heading is not None:
+            c, s_ = fixed_heading[0], sign * fixed_heading[1]
+        else:
+            c, s_ = lady_s(rr, thh, tt)
+        om = 1.0 if man_eq and snap_to_fl else om_step if om_step is not None else man_rate(tt, rr, thh)
+        base = mu / max(rr, slack) * s_
+        return base - om, base - om if man_eq else base + om
 
-    def step(sigma: float) -> tuple[float, float, float]:
-        """The RK4 step of length sigma from the current (t, r, th, alpha)."""
-        return _rk4(deriv, t, r, th, alpha, sigma, k1)
+    def held(tt: float, rr: float) -> bool:
+        """Whether she stays on the line she slides along, or at the centre."""
+        if pinned:
+            return (fixed_heading[0] if fixed_heading else lady_s(eps_r, th, tt)[0]) < 0.0
+        here, mirrored = line_rates(tt, rr, line)
+        return here >= 0.0 if line == _PI else max(here, mirrored) <= 0.0
+
+    def slides(tt: float, rr: float) -> bool:
+        """Whether a snapping lady who crosses theta = 0 enters the line
+        rather than mirror the frame: the equilibrium man stands still there,
+        or theta' <= 0 in the mirrored frame too."""
+        return man_eq or line_rates(tt, rr, 0.0)[1] <= 0.0
 
     def at_e(rr: float, thh: float) -> bool:
         return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
 
+    def classical_side(rr: float, thh: float) -> bool:
+        """Whether (r, theta) lies on the classical game's side of the barrier."""
+        if rr < mu:
+            return False
+        return classical.barrier_side(min(rr, 1.0), min(max(thh, 0.0), _PI), params) is not classical.BarrierSide.BELOW
+
+    def case_lost(case: focal.EntryCase):
+        """Event test for the loss of the kept case's root: the mismatch at
+        s_hi, where the two cases meet, changes sign (One has a root iff it is
+        >= 0, Two iff it is <= 0, and Two has no bracket past r = mu)."""
+        up = 1.0 if case is focal.EntryCase.ONE else -1.0
+
+        def past(tt: float, rr: float, thh: float) -> bool:
+            rr, thh = min(max(rr, eps_r), 1.0), min(max(thh, 0.0), _PI)
+            s_hi = min(mu, math.sqrt(mu * rr))
+            if up < 0.0 and s_hi < rr:
+                return True
+            return up * focal.entry_delta(PolarState(rr, thh), s_hi, case, params) < 0.0
+
+        return past
+
+    def s_ahead(tt: float, rr: float, thh: float) -> float:
+        """Her case-Two entry radius continued along the step: the kept one
+        once frozen, her predicted radius once r has passed it, else the root
+        that entry_track (entry_root where it declines) finds from it."""
+        if lady_s.frozen:
+            return lady_s.s
+        guess = lady_s.predict(tt)
+        if guess <= rr:
+            return guess
+        rr, thh = min(max(rr, eps_r), 1.0), min(max(thh, 0.0), _PI)
+        two = focal.EntryCase.TWO
+        found = focal.entry_track(rr, thh, params, two, guess) or focal.entry_root(rr, thh, params, two, guess)
+        return found[0] if found else guess
+
+    def fl_ahead(tt: float, rr: float, thh: float) -> bool:
+        return s_ahead(tt, rr, thh) <= rr
+
+    def step_event(at, t1: float, y1, ks) -> tuple[float, str]:
+        """The earliest event over the step from (t, r, th) to t1 and y1, with
+        stages ks and interpolant at: (time, kind), or (t1, "step")."""
+        r1, th1, _ = y1
+        found = []
+
+        def locate(kind: str, past) -> None:
+            found.append((_locate(past, at, t, t1, tol), kind))
+
+        if r < 1.0 <= r1:
+            locate("shore_exit", lambda tt, rr, thh: rr >= 1.0)
+        if r > eps_r >= r1:
+            locate("origin_passage", lambda tt, rr, thh: rr <= eps_r)
+        if line is None:
+            if th > band >= th1:
+                locate("ul_cross", lambda tt, rr, thh: thh <= band)
+            if th < _PI <= th1:
+                locate("fl_cross", lambda tt, rr, thh: thh >= _PI)
+        if (line is not None or pinned) and not held(t1, r1):
+            locate("slide_end", lambda tt, rr, thh: not held(tt, rr))
+        entry = ks[-1][4][1] if ks[-1][4] is not None else None
+        if lady_s.case is focal.EntryCase.ONE and entry is not None and entry[1] is not lady_s.case:
+            locate("tangency", case_lost(focal.EntryCase.ONE))
+        if lady_s.case is focal.EntryCase.TWO:
+            if entry is not None and entry[1] is None and not lady_s.frozen:
+                locate("root_lost", case_lost(focal.EntryCase.TWO))
+            # The step end's own solve, where it made one, is s_ahead's.
+            solved = entry is not None and entry[1] is focal.EntryCase.TWO and not lady_s.frozen
+            if snap_to_fl and (min(entry[0], lady_s.predict(t1)) <= r1 if solved else fl_ahead(t1, r1, th1)):
+                locate("fl_cross", fl_ahead)
+        # The side is read where the step is cut, not past the shore.
+        t_cut = min(found)[0] if found else t1
+        if side is not classical_side(*(at(t_cut)[:2] if t_cut < t1 else (r1, th1))):
+            found.append((_locate(lambda tt, rr, thh: classical_side(rr, thh) is not side, at, t, t_cut, tol),
+                          "barrier_crossing"))
+        return min(found) if found else (t1, "step")
+
     t, end = 0.0, None
-    case_before = None  # the lady's case before the last record
-    # A snapping lady on theta = pi leaves RK4 for the focal-line segment.
+    # A snapping lady on theta = pi leaves the integrator for the focal-line segment.
     lands_on_fl = segments is None and snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol
     if segments is not None:
         end = events[-1][1] if follow(segments) else None
         traj.events.extend(ev for ev in events[:-1] if ev[0] <= t)
     elif not lands_on_fl:
-        k1 = record(t, alpha, r, th)
         end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
-    while end is None and not lands_on_fl and t < t_max - params.slack:
-        h = min(dt, t_max - t)
-        # Snapping play slides on pi, and on 0 by slides(); else mirror.  Read
-        # before the trial step, whose stages move the lady's entry memory.
-        leaves_line = th in (0.0, _PI) and not (snap_to_fl and (th == _PI or slides(t, r)))
-        s_event, case_event = lady_s.s, lady_s.case
-        try:
-            r1, th1, al1 = step(h)
-        except LakeGameError:
-            traj.events.append((t, "strategy_error"))
-            break
-        if not (math.isfinite(r1) and math.isfinite(th1)):
-            raise LakeGameError(f"integration produced NaN at t = {t}")
+        k1, h = None, 0.1 * params.tol_step**0.2  # a first trial step; error control adapts it
+        err_last, rejected = 1.0, False  # the last accepted step's error over tol_step; the last try's fate
+        anchor, n_rec = 0.0, 0  # records fall at anchor + n_rec dt
+        n_switch = 1 if period else 0
+        t_switch = period if period else math.inf
+        while True:
+            if k1 is None:
+                # A new step sequence: after an event, a switch or at the start.
+                # M's rate is read between his switches: his rate on the open interval.
+                t_rate = t_switch - 0.5 * period if period else t
+                om_step = None if man_eq else omega(t_rate, r, th)
+                line, pinned, side = None, False, classical_side(r, th)
+                if th in (0.0, _PI) and end is None:
+                    here, mirrored = line_rates(t, r, th)
+                    if snap_to_fl and (max(here, mirrored) <= 0.0 if th == 0.0 else here >= 0.0):
+                        line = th
+                    elif here < 0.0 if th == 0.0 else here > 0.0:
+                        sign = -sign
+                        om_step = None if man_eq else omega(t_rate, r, th)
+                        traj.events.append((t, "reflection"))
+                if band:
+                    # He stands still while she slides along theta = 0 (the
+                    # band is that line to her) and runs at 1 elsewhere.
+                    om_step = 0.0 if line == 0.0 else 1.0
+                k1 = stage(t, r, th)
+                if r <= eps_r and k1[0] < 0.0 and end is None:
+                    # Through the centre she would only turn back into it.
+                    pinned = True
+                    k1 = stage(t, r, th)
+                if k1[4] is not None:
+                    lady_s.commit(t, r, k1[4])
+            if end is not None or t >= t_max - slack or anchor + n_rec * dt <= t + slack:
+                record(t, alpha, r, th, *k1[3])
+                n_rec += 1
+            if end is not None or t >= t_max - slack:
+                break
+            h_try = min(h, t_max - t, t_switch - t)
+            try:
+                y1, ks, err = _dp45(stage, t, (r, th, alpha), h_try, k1)
+            except LakeGameError:
+                traj.events.append((t, "strategy_error"))
+                break
+            if not (math.isfinite(y1[0]) and math.isfinite(y1[1])):
+                raise LakeGameError(f"integration produced NaN at t = {t}")
+            y0, t1 = (r, th, alpha), t + h_try
+            try:
+                kind, t_end = "step", t1
+                if err <= params.tol_step:
+                    # Its events: the step is taken again up to the earliest, so
+                    # that its stages all lie before it.
+                    at = _dense(t, y0, h_try, ks)
+                    t_end, kind = step_event(at, t1, y1, ks)
+                    if kind != "step" and t_end < t1:
+                        h_try = t_end - t
+                        y1, ks, err = _dp45(stage, t, y0, h_try, k1)
+                        at = _dense(t, y0, h_try, ks)
+                # Step size by Hairer and Wanner's PI control (Solving ODEs I,
+                # IV.2, and their DOPRI5): shrink at most 5x, grow at most 10x,
+                # and not at all right after a rejection.
+                err /= params.tol_step
+                if err > 1.0:
+                    traj.rejected += 1
+                    h, rejected = h_try / min(5.0, err**0.17 / 0.9), True
+                    continue
+                traj.steps += 1
+                h_new = h_try / max(0.1, min(5.0, err**0.17 / err_last**0.04 / 0.9))
+                h_new = min(h_new, h_try) if rejected else h_new
+                h = h_new if h_try >= h else min(h, h_new)
+                err_last, rejected = max(err, 0.0001), False
+                if kind == "step" and (y1[0] < 0.0 or not 0.0 <= y1[1] <= _PI):
+                    # Through the centre from r = eps_r, or off a line she left.
+                    kind = "origin_passage" if y1[0] < 0.0 else "clamp"
+                elif kind == "step" and ks[-1][4] is not None:
+                    # Kept before the records, which then interpolate her radius.
+                    lady_s.commit(t1, y1[0], ks[-1][4])
+                while anchor + n_rec * dt < t_end - slack:
+                    t_rec = anchor + n_rec * dt
+                    r_rec, th_rec, al_rec = at(t_rec)
+                    th_rec = min(max(th_rec, 0.0), _PI)
+                    record(t_rec, al_rec, r_rec, th_rec, *stage(t_rec, r_rec, th_rec)[3])
+                    n_rec += 1
+            except LakeGameError:
+                traj.events.append((t, "strategy_error"))
+                break
 
-        # Event functions over the trial step; earliest crossing wins.
-        candidates: list[tuple[float, str]] = []
-
-        def locate(g, kind: str) -> None:
-            g0, g1 = g(r, th), g(r1, th1)
-            if g0 > 0.0 >= g1:
-                candidates.append((_crossing(g, step, h, tol), kind))
-
-        locate(lambda rr, thh: 1.0 - rr, "shore_exit")
-        locate(lambda rr, thh: rr - params.eps_r, "origin_passage")
-        locate(lambda rr, thh: thh, "ul_cross")
-        locate(lambda rr, thh: _PI - thh, "fl_cross")
-        if s_event is not None and case_event is focal.EntryCase.TWO and snap_to_fl:
-            locate(lambda rr, thh: s_event - rr, "fl_cross")
-
-        # The step, cut short at the earliest event, then that event's rule.
-        sigma, kind = min(candidates, default=(h, "step"))
-        side = classical.barrier_side(min(r, 1.0), th, params) if r >= mu else None
-        r, th, alpha = step(sigma) if candidates else (r1, th1, al1)
-        if side and r >= mu and side is not classical.barrier_side(min(r, 1.0), th, params):
-            traj.events.append((t + 0.5 * sigma, "barrier_crossing"))
-        # She turns outward in the step's stages, or at the record that began it.
-        if case_before is focal.EntryCase.ONE and lady_s.case is focal.EntryCase.TWO:
-            traj.events.append((t + sigma, "tangency"))
-        if leaves_line and not 0.0 <= th <= _PI:
-            th, sign = (-th if th < 0.0 else 2.0 * _PI - th), -sign
-            traj.events.append((t, "reflection"))
-        t += sigma
-        th = min(max(th, 0.0), _PI)
-        if kind == "shore_exit":
-            r, end = min(r, 1.0), kind
-        elif kind == "origin_passage" or r < 0.0:
-            # Through the centre onto the opposite ray, seen in the mirrored
-            # frame unless she lands on the focal line, where the mirror is moot.
-            r, th = max(abs(r), params.eps_r), _PI - th
-            if abs(th - _PI) <= tol:
-                th = _PI
+            if kind == "step":
+                t, (r, th, alpha), k1 = t1, y1, ks[-1]
             else:
-                sign = -sign
-            lands_on_fl = snap_to_fl and th == _PI
-            lady_s.reset()
-            traj.events.append((t, "origin_passage"))
-        elif kind != "step":
-            # theta = 0 or pi crossed: snap onto the singular line under
-            # equilibrium play, else mirror the frame.
-            lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
-            if lands_on_fl or (snap_to_fl and kind == "ul_cross" and slides(t, r)):
-                r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
-                traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
-            else:
-                sign = -sign
-                traj.events.append((t, "reflection"))
-            end = "reached_e" if at_e(r, th) else None
-        if lands_on_fl:
-            break
-        case_before = lady_s.case
-        k1 = record(t, alpha, r, th)
+                t, (r, th, alpha), k1 = t_end, y1, None
+                anchor, n_rec = t, 0
+                th = min(max(th, 0.0), _PI)
+            if t >= t_switch:
+                n_switch += 1
+                t_switch, k1 = n_switch * period, None
+            if kind == "shore_exit":
+                r, end = 1.0, kind
+            elif kind == "origin_passage":
+                # Through the centre onto the opposite ray, seen in the mirrored
+                # frame unless she lands on the focal line, where the mirror is moot.
+                r, th = max(abs(r), eps_r), _PI - th
+                if abs(th - _PI) <= tol:
+                    th = _PI
+                else:
+                    sign = -sign
+                lands_on_fl = snap_to_fl and th == _PI
+                lady_s.reset()
+                traj.events.append((t, kind))
+            elif kind in ("ul_cross", "fl_cross"):
+                # theta = 0 or pi crossed: a snapping lady enters the singular
+                # line (the focal line only up to E), else the frame is mirrored.
+                lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
+                if lands_on_fl or (snap_to_fl and kind == "ul_cross" and slides(t, r)):
+                    r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
+                    traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
+                else:
+                    sign = -sign
+                    traj.events.append((t, "reflection"))
+                end = "reached_e" if at_e(r, th) else None
+            elif kind == "tangency":
+                lady_s.turn()
+                traj.events.append((t, kind))
+            elif kind == "root_lost":
+                lady_s.freeze(min(mu, math.sqrt(mu * max(r, eps_r))))
+            elif kind == "barrier_crossing":
+                traj.events.append((t, kind))
+            if lands_on_fl:
+                break
     if lands_on_fl:
-        fl = focal.line_segment(t, r, th, lambda tt: omega(tt, r, _PI), params)
-        end = "reached_e" if follow([fl]) else None
+        # M's canonical rate on the line holds but for the switching man's.
+        om_line = omega(t, r, _PI)
+        rate = (lambda tt: omega(tt, r, _PI)) if period else (lambda tt: om_line)
+        end = "reached_e" if follow([focal.line_segment(t, r, th, rate, params)]) else None
 
     if end is not None:
         traj.events.append((t, end))
         traj.outcome = "reached_shore" if end == "shore_exit" else end
         if end == "shore_exit":
             traj.theta_f = traj.theta[-1]
-    traj.t_final = t
+    traj.t_final, traj.evaluations = t, evaluations
     return traj
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from . import classical, focal, solution, universal
@@ -153,7 +154,8 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
     phase): (0, One) on the universal regions, (r, Two) on the focal line,
     and on a focal tributary its entry radius with the phase read off the
     sign of the recorded radial control.  Samples within eps_r of the
-    centre, where theta and its rate are undefined, are skipped.
+    centre, where theta and its rate are undefined, are skipped, and so are
+    focal-line samples next to E whose recorded heading rounds beyond slack.
     """
     out = []
     next_t = 0.0
@@ -180,8 +182,11 @@ def trajectory_hamiltonians(traj, params: GameParams) -> list[tuple[float, float
                 # The terminal point carries the costate of the arc it ends.
                 region = solution.min_time_region(state.r, state.theta, params)
             if region is solution.Region.FOCAL_LINE:
-                if r >= params.mu:
-                    continue  # at E itself, where s = r leaves the family
+                if r >= params.mu or controls.cos_psi**2 * params.slack < sys.float_info.epsilon:
+                    # At E itself, where s = r leaves the family, or so near it
+                    # that the recorded cos_psi = sqrt(1 - sin_psi^2) carries a
+                    # rounding of eps/cos_psi^2 beyond slack, which H inherits.
+                    continue
                 s, phase = r, focal.EntryCase.TWO
             elif region in solution.UNIVERSAL_REGIONS:
                 s, phase = 0.0, focal.EntryCase.ONE

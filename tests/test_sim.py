@@ -142,7 +142,7 @@ class TestFocalLineClosedForm:
             t_e = (math.asin(w) - phi0) / w if w else (MU - r0) / MU
             assert traj.t_final == pytest.approx(t_e, abs=1e-9)
 
-    def test_steps_call_no_rk4_lady_or_rates(self, params, monkeypatch):
+    def test_steps_call_no_integrator_lady_or_rates(self, params, monkeypatch):
         # Every closed-form segment of equilibrium play: the focal line,
         # classical play from above the barrier, and both tributaries.  A
         # focal tributary costs one entry solve.
@@ -151,8 +151,8 @@ class TestFocalLineClosedForm:
         def counted(name, f):
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
-        monkeypatch.setattr(sim, "_rk4", counted("_rk4", sim._rk4))
-        monkeypatch.setattr(sim, "_crossing", counted("_crossing", sim._crossing))
+        monkeypatch.setattr(sim, "_dp45", counted("_dp45", sim._dp45))
+        monkeypatch.setattr(sim, "_locate", counted("_locate", sim._locate))
         monkeypatch.setattr(sim, "rates", counted("rates", sim.rates))
         monkeypatch.setattr(sim._Lady, "__call__", counted("_Lady", sim._Lady.__call__))
         monkeypatch.setattr(focal, "entry_root", counted("entry_root", focal.entry_root))
@@ -166,6 +166,7 @@ class TestFocalLineClosedForm:
             traj = eq_run(PolarState(*start), params, dt=1e-3)
             assert traj.outcome == outcome and len(traj.t) > 1000
             assert calls == ["entry_root"] * solves, start
+            assert (traj.steps, traj.rejected, traj.evaluations) == (0, 0, 0)
             calls.clear()
 
 
@@ -688,7 +689,10 @@ _RUN_SET = {
     (0.15, 0.3): (
         "reached_e: ul_entry origin_passage reached_e",
         "reached_e: ul_entry origin_passage reached_e",
-        "reached_e: ul_entry ul_entry ul_entry tangency fl_entry reached_e",
+        # One ul_entry: she slides along theta = 0 until she leaves it.  RK4
+        # logged 3 at dt = 1e-3, 22 at 1e-4 and 109 at 2.5e-5, re-entering at
+        # the equilibrium man's tol_event band once a step.
+        "reached_e: ul_entry tangency fl_entry reached_e",
         "reached_e: reflection tangency fl_entry reached_e",
         _TFR,
         "reached_shore: barrier_crossing shore_exit",
@@ -777,9 +781,10 @@ class TestTangencyAtCoarseSteps:
 
 
 class TestStageCorrector:
-    def test_one_full_solve_per_record(self, params, monkeypatch):
-        # Trial stages continue the radius by focal.entry_track; entry_root runs
-        # at the records, where the stages decline, and once more at the turn.
+    def test_one_full_solve_per_step(self, params, monkeypatch):
+        # Stages and records continue the radius by focal.entry_track; entry_root
+        # runs at most once an accepted step, where it declines, and once more at
+        # the turn.
         calls = {"root": 0, "track": 0, "declined": 0}
         entry_root, entry_track = focal.entry_root, focal.entry_track
 
@@ -797,27 +802,124 @@ class TestStageCorrector:
         monkeypatch.setattr(focal, "entry_track", track)
         traj = sim.simulate(PolarState(0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN,
                             dt=1e-3, params=params)
-        t_fl = next(t for t, kind in traj.events if kind == "fl_entry")
-        records = sum(t < t_fl for t in traj.t)
-        assert records > 2000
-        assert calls["root"] <= records + calls["declined"] + 1
+        assert "fl_entry" in [kind for _, kind in traj.events]
+        assert traj.steps > 100
+        assert calls["root"] <= traj.steps + calls["declined"] + 1
         assert calls["declined"] <= 0.05 * calls["track"]
+
+
+class TestIntegrator:
+    """The Dormand–Prince 5(4) steps of a run where a side deviates."""
+
+    @pytest.mark.parametrize(
+        "start,lady,man",
+        [
+            ((0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN),
+            (WORST_11, _EQ_LADY, sim.StrategySpec.switching_omega(0.2)),
+            (WORST_11, sim.StrategySpec.perturbed(0.05), _EQ_MAN),
+            ((0.24, math.pi), sim.StrategySpec.fixed_heading(0.6, 0.8), sim.StrategySpec.constant_omega(0.0)),
+        ],
+        ids=["tangency-root-loss", "switches-reflections", "slide-origin", "reflection-barrier"],
+    )
+    def test_record_spacing_changes_no_result(self, params, start, lady, man):
+        # dt spaces the records only: they come from the steps' interpolants,
+        # and the lady's memory is written at step ends alone.
+        fine, coarse = (sim.simulate(PolarState(*start), lady, man, dt=dt, params=params)
+                        for dt in (1e-3, 1e-2))
+        assert (coarse.outcome, coarse.events, coarse.t_final) == (fine.outcome, fine.events, fine.t_final)
+        assert (coarse.steps, coarse.rejected) == (fine.steps, fine.rejected)
+        assert len(coarse.t) < len(fine.t)
+
+    def test_switch_is_a_step_end(self, params):
+        # Up to the switch at t = 0.2 the man runs at +1, as the equilibrium man
+        # does, so the rollout's tributary is the exact path.  RK4 read his next
+        # rate in the last stage of the step ending there: theta 3.3e-4 off.
+        state = PolarState(0.2, 1.0)
+        tributary = sim.rollout(state, params)[0][0]
+        traj = sim.simulate(state, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), dt=1e-3, params=params)
+        k = next(i for i, t in enumerate(traj.t) if abs(t - 0.2) <= 1e-12)
+        r, theta = tributary.state(traj.t[k])[:2]
+        assert abs(traj.theta[k] - theta) <= 1e-9
+        assert abs(traj.r[k] - r) <= 1e-9
+
+    @pytest.mark.parametrize("man", [sim.StrategySpec.constant_omega(0.8), sim.StrategySpec.constant_omega(0.0),
+                                     sim.StrategySpec.switching_omega(0.2)], ids=["constant-0.8", "constant-0", "switching"])
+    def test_man_rows_match_dop853(self, params, man):
+        # A reference on the same feedback that shares no code with the
+        # steps: scipy's DOP853 at rtol 1e-12 on the equilibrium heading of a
+        # case held fixed, case One up to where Delta_1(s_hi) turns negative,
+        # case Two up to theta = pi, cut at the man's switches; then the focal
+        # line in closed form.
+        from scipy.integrate import solve_ivp
+
+        one, two = focal.EntryCase.ONE, focal.EntryCase.TWO
+        rate = (lambda t: man.value) if man.kind == "constant_omega" else (
+            lambda t: 1.0 if int(t / man.period) % 2 == 0 else -1.0)
+
+        def field(case, om):
+            def f(t, y):
+                # A trial stage just across the tangency circle has no root in
+                # the case held; the other case's root meets it there.
+                state = (y[0], min(y[1], math.pi), params)
+                s, c = focal.entry_root(*state, case) or focal.entry_root(*state, two if case is one else one)
+                return rates(y[0], *focal.tributary_heading_at(y[0], s, c, MU), om, MU)
+            return f
+
+        def turn(t, y):  # case One has a root iff Delta_1(s_hi) >= 0
+            s_hi = min(MU, math.sqrt(MU * y[0]))
+            return focal.entry_delta(PolarState(y[0], min(y[1], math.pi)), s_hi, one, params)
+
+        def line(t, y):
+            return math.pi - y[1]
+
+        turn.terminal = line.terminal = True
+        t, y, case = 0.0, [0.2, 1.0], one
+        while True:
+            t_end = (int(t / 0.2 + 1e-9) + 1) * 0.2 if man.kind == "switching_omega" else 20.0
+            sol = solve_ivp(field(case, rate(0.5 * (t + t_end))), (t, t_end), y, method="DOP853",
+                            rtol=1e-12, atol=1e-12, events=[turn if case is one else line])
+            t, y = sol.t[-1], list(sol.y[:, -1])
+            if sol.status == 1 and case is one:
+                case = two
+            elif sol.status == 1:
+                break
+        w = abs(rate(t))
+        t_e = t + (math.asin(w) - math.asin(w * y[0] / MU)) / w if w else t + (MU - y[0]) / MU
+        traj = sim.simulate(PolarState(0.2, 1.0), _EQ_LADY, man, dt=1e-3, params=params)
+        assert [k for _, k in traj.events] == ["tangency", "fl_entry", "reached_e"]
+        assert abs(traj.t_final - t_e) <= 1e-6
+
+    def test_run_counts(self, params):
+        # Closed-form play takes no step; RK4 took 2,199 steps of 1e-3 to bring
+        # perturbed(-0.05) from (0.2, 1.0) onto the focal line.
+        eq = eq_run(PolarState(0.2, 1.0), params, dt=1e-3)
+        assert (eq.steps, eq.rejected, eq.evaluations) == (0, 0, 0)
+        traj = sim.simulate(PolarState(0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN,
+                            dt=1e-3, params=params)
+        assert "fl_entry" in [kind for _, kind in traj.events]
+        assert 0 < traj.steps <= 2199 // 4
+        assert traj.evaluations >= 6 * traj.steps
+        assert sim.Trajectory(outcome="timeout", t_final=1.0).steps == 0
 
 
 class TestDeviationReport:
     @pytest.mark.parametrize(
         "start,t_finals",
         [
-            ((0.2, 1.0), (2.235718409663288, 2.2404089476634654, 1.8180826766503386,
-                          1.5997649229771125, 2.1858973880423984)),
+            ((0.2, 1.0), (2.235718412741096, 2.2404499904007342, 1.8180826797493583,
+                          1.5997649519917048, 2.1859363189269696)),
             (WORST_11,
-             (3.444049412412579, 3.4488216320208007, 2.9033699054743876,
-              2.8705895978819744, 3.4416618120844005)),
+             (3.444049412422196, 3.4488453315226666, 2.903370037166124,
+              2.870589492011074, 3.4417046668019786)),
         ],
         ids=["0.2-1.0", "criterion-11-worst"],
     )
     def test_run_times_are_pinned(self, params, start, t_finals):
-        # Run times with entry_root at every stage; the stage corrector keeps them.
+        # A reference that shares no code with the Dormand-Prince steps: fixed-step
+        # RK4 at dt = 2.5e-6, its steps cut at the man's switches, each taking his
+        # rate on its open interval.  RK4 is first order here (it reads the lady's
+        # stale entry radius), so at 2.5e-5 the delta_psi=-0.05 rows still sat
+        # 1.3e-6 and 2.4e-7 away; at 1e-3 they sat up to 4.3e-5 away.
         _, rows = sim.deviation_report(PolarState(*start), params, dt=1e-3)
         assert [row.time for row in rows] == pytest.approx(t_finals, abs=1e-6)
 

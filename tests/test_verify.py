@@ -251,6 +251,17 @@ class TestTrajectoryHamiltonians:
         samples = verify.trajectory_hamiltonians(traj, params)
         assert max(abs(hv) for _, hv in samples) < 1e-6
 
+    def test_focal_line_sample_next_to_e(self, params):
+        # Criterion 10's run: the sample 8e-4 before E read 3.5e-10, the
+        # rounding of the recorded cos_psi = sqrt(1 - sin_psi^2) there times
+        # a costate of order 1/(mu - r).  Such samples are left out; the
+        # samples kept on the line come within 0.03 of E and read 1e-12 or less.
+        traj = self._run(PolarState(0.15, 0.3), params)
+        samples = verify.trajectory_hamiltonians(traj, params)
+        assert all(abs(t - (traj.t_final - 8e-4)) > 1e-6 for t, _ in samples)
+        assert traj.t_final - samples[-1][0] < 0.03
+        assert max(abs(hv) for _, hv in samples) <= 1e-12
+
     def test_arrival_record_at_e_is_skipped(self, params):
         # The record at E (r = mu) has no focal-line costate; keeping only the
         # first and last records puts it on the 0.01 sampling grid.
