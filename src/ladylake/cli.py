@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--dt", type=float, default=1e-3,
-                   help="record spacing of the deviation runs; their rows do not depend on it")
+                   help="kept for compatibility: the deviation runs record only at events, "
+                        "and their rows do not depend on it; must be finite and positive")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("critical-mu", help="critical speed ratio")

@@ -418,9 +418,12 @@ def simulate(
 
     def follow(segs) -> bool:
         """Record closed-form segments on the dt grid from t, each step cut at
-        a segment's end; whether the last one ends by t_max."""
+        a segment's end; whether the last one ends by t_max.  A segment's
+        rate for M holds between the switching man's switches, so M's angle
+        gains, for each piece of a step between them, the rate at its middle
+        times its length."""
         nonlocal t, alpha
-        i = 0
+        i, n_switch = 0, 1
         while True:
             while t >= segs[i].t1 and i + 1 < len(segs):
                 i += 1
@@ -430,7 +433,16 @@ def simulate(
             if t >= seg.t1 or t >= t_max - slack:
                 return t >= seg.t1
             h = min(dt, t_max - t, seg.t1 - t)
-            alpha += h / 6.0 * sign * (om + 4.0 * seg.omega(t + 0.5 * h) + seg.omega(t + h))
+            if period:
+                a, b = t, t + h
+                while a < b:
+                    while n_switch * period <= a:
+                        n_switch += 1
+                    cut = min(b, n_switch * period)
+                    alpha += (cut - a) * sign * seg.omega(0.5 * (a + cut))
+                    a = cut
+            else:
+                alpha += h * sign * seg.omega(t + 0.5 * h)
             t = seg.t1 if h == seg.t1 - t else t + h
 
     def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:
@@ -726,11 +738,18 @@ def deviation_report(
     t_eq, M-deviations should not make feedback-L arrive later; a pass is
     margin >= -tolerance on every row.
 
+    A row reads only its run's outcome and t_final, which never depended on
+    the record spacing, so each run records only at its start, its events
+    and its end (spacing t_max), and the rows are the same at every dt.  dt
+    is kept for callers and refused where simulate would refuse it.
+
     The five runs are independent and run at once on up to five forked worker
     processes, one per CPU available.  They run in-process with one CPU,
     without fork, in a daemonic caller (which may have no children) or beside
     other threads (where a fork is unsafe); the rows are the same either way.
     """
+    if not 0.0 < dt < math.inf:
+        raise DomainError("dt must be finite and positive")
     adv = solution.advise(initial, params, omega_now=1.0)
     if adv.value_kind is not solution.ValueKind.TIME_TO_E:
         raise RegionError(f"no time to E from a start in region {adv.region.value}")
@@ -743,7 +762,7 @@ def deviation_report(
         ("man", "constant_omega=0", eq_lady, StrategySpec.constant_omega(0.0)),
         ("man", "switching_omega(period=0.2)", eq_lady, StrategySpec.switching_omega(0.2)),
     )
-    results = _map_runs([(initial, lady, man, dt, t_max, params) for _, _, lady, man in runs])
+    results = _map_runs([(initial, lady, man, t_max, t_max, params) for _, _, lady, man in runs])
     rows: list[DeviationRow] = []
     for (side, label, _, _), (outcome, t_final) in zip(runs, results):
         # A run that never reaches E fails the check whichever side deviated:

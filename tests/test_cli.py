@@ -265,3 +265,9 @@ class TestVerify:
         assert doc["hji"]["pass"] and doc["barrier"]["pass"] and doc["saddle"]["pass"]
         assert len(doc["saddle"]["starts"]) == 3
         assert all(len(s["rows"]) == 5 for s in doc["saddle"]["starts"])
+
+    @pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
+    def test_bad_dt_exits_2(self, capsys, dt):
+        code, out, err = run(capsys, "verify", "--mu", "0.3", "--grid", "5", "--dt", dt)
+        assert code == 2
+        assert out == "" and err.startswith("error:")

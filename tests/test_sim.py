@@ -82,6 +82,22 @@ class TestFocalLineRun:
         assert traj.outcome == "reached_e"
         assert max(abs(th - math.pi) for th in traj.theta) < 1e-9
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.07])
+    def test_man_angle_under_switching_man_is_triangle_wave(self, params, dt):
+        # A step that contains a switch is split there, so M's angle is his
+        # rate's exact integral on any record grid.  A step taken across the
+        # switch in one piece read 6.7e-4 off at dt = 1e-3 and 0.053 at 0.07.
+        traj = sim.simulate(PolarState(0.05, math.pi), sim.StrategySpec.equilibrium("lady"),
+                            sim.StrategySpec.switching_omega(0.2), dt=dt, params=params)
+        t_e = math.pi / 2 - math.asin(0.05 / MU)  # |omega| = 1 on the line
+        assert traj.outcome == "reached_e"
+        assert traj.events == [(traj.t_final, "reached_e")]
+        assert traj.t_final == pytest.approx(t_e, abs=1e-12)
+        assert traj.t[-1] == traj.t_final and len(traj.t) == math.ceil(t_e / dt) + 1
+        for t, alpha in zip(traj.t, traj.man_angle):
+            phase = math.fmod(t, 0.4)
+            assert alpha == pytest.approx(min(phase, 0.4 - phase), abs=1e-12)
+
 
 class TestFocalLineClosedForm:
     """The focal-line segment against plain RK4 of model.rates under the
@@ -98,24 +114,28 @@ class TestFocalLineClosedForm:
     }
 
     @staticmethod
-    def rk4_oracle(r0, omega_of, dt=1e-4):
-        """(t, r, theta, man_angle) rows of RK4 from (r0, pi) up to r = mu - 1e-4."""
+    def rk4_oracle(r0, omega_of, period=0.0, dt=1e-4):
+        """(t, r, theta, man_angle) rows of RK4 from (r0, pi) up to r = mu - 1e-4,
+        a step that contains a switch (every period, if any) taken in two
+        pieces, each at the man's rate on its open interval."""
 
-        def d(t, r):
-            om = omega_of(t)
+        def d(r, om):
             return (*rates(r, *focal.fl_heading_at(r, om, MU), om, MU), om)
+
+        def rk4(y, h, om):
+            k1 = d(y[0], om)
+            k2 = d(y[0] + h / 2 * k1[0], om)
+            k3 = d(y[0] + h / 2 * k2[0], om)
+            k4 = d(y[0] + h * k3[0], om)
+            return tuple(a + h / 6 * (p + 2 * q + 2 * u + v) for a, p, q, u, v in zip(y, k1, k2, k3, k4))
 
         t, y = 0.0, (r0, math.pi, 0.0)
         rows = [(t, *y)]
         while y[0] < MU - 1e-4:
-            k1 = d(t, y[0])
-            k2 = d(t + dt / 2, y[0] + dt / 2 * k1[0])
-            k3 = d(t + dt / 2, y[0] + dt / 2 * k2[0])
-            k4 = d(t + dt, y[0] + dt * k3[0])
-            y = tuple(
-                a + dt / 6 * (p + 2 * q + 2 * u + v)
-                for a, p, q, u, v in zip(y, k1, k2, k3, k4)
-            )
+            cuts = [k * period for k in range(int(t / period) + 1, int((t + dt) / period) + 1)
+                    if t < k * period < t + dt] if period else []
+            for a, b in zip([t, *cuts], [*cuts, t + dt]):
+                y = rk4(y, b - a, omega_of(0.5 * (a + b)))
             t += dt
             rows.append((t, *y))
         return rows[:-1]
@@ -129,7 +149,7 @@ class TestFocalLineClosedForm:
             dt=1e-4, t_max=20.0, params=params,
         )
         assert traj.outcome == "reached_e"
-        rows = self.rk4_oracle(r0, omega_of)
+        rows = self.rk4_oracle(r0, omega_of, spec.period)
         assert len(traj.t) > len(rows) > 100
         for i, (t, r, th, al) in enumerate(rows):
             assert traj.t[i] == pytest.approx(t, abs=1e-9)
@@ -812,23 +832,28 @@ class TestIntegrator:
     """The Dormand–Prince 5(4) steps of a run where a side deviates."""
 
     @pytest.mark.parametrize(
-        "start,lady,man",
+        "start,lady,man,t_max",
         [
-            ((0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN),
-            (WORST_11, _EQ_LADY, sim.StrategySpec.switching_omega(0.2)),
-            (WORST_11, sim.StrategySpec.perturbed(0.05), _EQ_MAN),
-            ((0.24, math.pi), sim.StrategySpec.fixed_heading(0.6, 0.8), sim.StrategySpec.constant_omega(0.0)),
+            ((0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN, 20.0),
+            (WORST_11, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), 20.0),
+            (WORST_11, sim.StrategySpec.perturbed(0.05), _EQ_MAN, 20.0),
+            ((0.24, math.pi), sim.StrategySpec.fixed_heading(0.6, 0.8), sim.StrategySpec.constant_omega(0.0), 20.0),
+            (WORST_11, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), 1.3),
         ],
-        ids=["tangency-root-loss", "switches-reflections", "slide-origin", "reflection-barrier"],
+        ids=["tangency-root-loss", "switches-reflections", "slide-origin", "reflection-barrier", "cut-by-t_max"],
     )
-    def test_record_spacing_changes_no_result(self, params, start, lady, man):
+    def test_record_spacing_changes_no_result(self, params, start, lady, man, t_max):
         # dt spaces the records only: they come from the steps' interpolants,
-        # and the lady's memory is written at step ends alone.
-        fine, coarse = (sim.simulate(PolarState(*start), lady, man, dt=dt, params=params)
-                        for dt in (1e-3, 1e-2))
-        assert (coarse.outcome, coarse.events, coarse.t_final) == (fine.outcome, fine.events, fine.t_final)
-        assert (coarse.steps, coarse.rejected) == (fine.steps, fine.rejected)
-        assert len(coarse.t) < len(fine.t)
+        # and the lady's memory is written at step ends alone.  At dt = t_max,
+        # deviation_report's spacing, a run records only at its start, where
+        # an event cuts a step and at its end.
+        fine, coarse, bare = (sim.simulate(PolarState(*start), lady, man, dt=dt, t_max=t_max, params=params)
+                              for dt in (1e-3, 1e-2, t_max))
+        assert (fine.outcome == "timeout") is (t_max < 20.0)
+        for run in (coarse, bare):
+            assert (run.outcome, run.events, run.t_final) == (fine.outcome, fine.events, fine.t_final)
+            assert (run.steps, run.rejected) == (fine.steps, fine.rejected)
+        assert len(bare.t) <= len(bare.events) + 2 < len(coarse.t) < len(fine.t)
 
     def test_switch_is_a_step_end(self, params):
         # Up to the switch at t = 0.2 the man runs at +1, as the equilibrium man
@@ -922,6 +947,17 @@ class TestDeviationReport:
         # 1.3e-6 and 2.4e-7 away; at 1e-3 they sat up to 4.3e-5 away.
         _, rows = sim.deviation_report(PolarState(*start), params, dt=1e-3)
         assert [row.time for row in rows] == pytest.approx(t_finals, abs=1e-6)
+
+    def test_rows_do_not_depend_on_dt(self, params):
+        state = PolarState(0.2, 1.0)
+        assert sim.deviation_report(state, params, dt=1e-3) == sim.deviation_report(state, params, dt=5e-2)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_refuses_what_simulate_refuses(self, params, dt):
+        with pytest.raises(DomainError):
+            sim.simulate(PolarState(0.2, 1.0), _EQ_LADY, _EQ_MAN, dt=dt, params=params)
+        with pytest.raises(DomainError):
+            sim.deviation_report(PolarState(0.2, 1.0), params, dt=dt)
 
     def test_start_above_the_barrier_raises(self, params):
         # Its value is a terminal angle, so there is no t_eq to compare with.
