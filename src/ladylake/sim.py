@@ -424,6 +424,7 @@ def simulate(
         times its length."""
         nonlocal t, alpha
         i, n_switch = 0, 1
+        t_switch = period if period else math.inf
         while True:
             while t >= segs[i].t1 and i + 1 < len(segs):
                 i += 1
@@ -433,16 +434,14 @@ def simulate(
             if t >= seg.t1 or t >= t_max - slack:
                 return t >= seg.t1
             h = min(dt, t_max - t, seg.t1 - t)
-            if period:
-                a, b = t, t + h
-                while a < b:
-                    while n_switch * period <= a:
-                        n_switch += 1
-                    cut = min(b, n_switch * period)
-                    alpha += (cut - a) * sign * seg.omega(0.5 * (a + cut))
-                    a = cut
-            else:
-                alpha += h * sign * seg.omega(t + 0.5 * h)
+            a, b = t, t + h
+            while a < b:
+                while t_switch <= a:
+                    n_switch += 1
+                    t_switch = n_switch * period
+                cut = min(b, t_switch)
+                alpha += (cut - a) * sign * seg.omega(0.5 * (a + cut))
+                a = cut
             t = seg.t1 if h == seg.t1 - t else t + h
 
     def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:

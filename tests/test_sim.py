@@ -948,9 +948,15 @@ class TestDeviationReport:
         _, rows = sim.deviation_report(PolarState(*start), params, dt=1e-3)
         assert [row.time for row in rows] == pytest.approx(t_finals, abs=1e-6)
 
-    def test_rows_do_not_depend_on_dt(self, params):
-        state = PolarState(0.2, 1.0)
-        assert sim.deviation_report(state, params, dt=1e-3) == sim.deviation_report(state, params, dt=5e-2)
+    def test_runs_record_at_spacing_t_max(self, params, monkeypatch):
+        # A row reads only its run's outcome and t_final, so whatever dt the
+        # caller gives, each run's record spacing is t_max (records at events).
+        jobs = []
+        monkeypatch.setattr(sim, "_map_runs", lambda js: jobs.append(js) or [("reached_e", 1.0)] * len(js))
+        for dt in (1e-3, 5e-2):
+            sim.deviation_report(PolarState(0.2, 1.0), params, dt=dt)
+        assert jobs[0] == jobs[1]
+        assert [job[3:5] for job in jobs[0]] == [(20.0, 20.0)] * 5
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_refuses_what_simulate_refuses(self, params, dt):
