@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -354,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical-mu", help="critical speed ratio")
     p.set_defaults(func=cmd_critical_mu)
+    # argparse's own pattern reads "-0.001" as a number but "-1e-3" as an option.
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return ap
 
 

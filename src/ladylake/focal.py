@@ -83,17 +83,23 @@ def fl_heading_at(r: float, omega: float, mu: float) -> tuple[float, float]:
 def line_segment(
     t0: float, r0: float, th0: float, omega: Callable[[float], float], params: GameParams
 ) -> Segment:
-    """L on the line under fl_control: theta holds and r = (mu/w) sin(phi0 +
-    w (t - t0)), phi0 = asin(w r0/mu), with w = |omega| read at t0, which
-    cannot change on the line.  E is reached at t0 + (asin w - phi0)/w,
-    t0 + (mu - r0)/mu for w = 0, or t0 itself from within tol_event of mu."""
+    """L on the line under fl_control: theta holds and r = (mu/w) sin phi,
+    phi = phi0 + w (t - t0), phi0 = asin(w r0/mu), with w = |omega| read at
+    t0, which cannot change on the line.  E is reached at t1 = t0 + (asin w -
+    phi0)/w, t0 + (mu - r0)/mu for w = 0, or t0 itself from within tol_event
+    of mu.  Between the ends, with w > 0, phi is counted back from E as asin
+    w - w (t1 - t) and the heading is (cos phi, sin phi) signed like
+    omega(t): cos phi keeps the digits that sqrt(1 - sin^2) loses next to E."""
     mu, w = params.mu, abs(omega(t0))
-    phi0 = math.asin(min(1.0, w * r0 / mu))
-    t1 = t0 if mu - r0 <= params.tol_event else t0 + ((math.asin(w) - phi0) / w if w else (mu - r0) / mu)
+    phi0, phi1 = math.asin(min(1.0, w * r0 / mu)), math.asin(w)
+    t1 = t0 if mu - r0 <= params.tol_event else t0 + ((phi1 - phi0) / w if w else (mu - r0) / mu)
 
     def state(t: float):
-        r = (r0 if t <= t0 else mu if t >= t1
-             else mu / w * math.sin(phi0 + w * (t - t0)) if w else r0 + mu * (t - t0))
+        if w and t0 < t < t1:
+            phi = phi1 - w * (t1 - t)
+            sin_phi = math.sin(phi)
+            return mu / w * sin_phi, th0, math.cos(phi), math.copysign(sin_phi, omega(t))
+        r = r0 if t <= t0 else mu if t >= t1 else r0 + mu * (t - t0)
         return (r, th0, *fl_heading_at(r, omega(t), mu))
 
     return Segment("focal_line", t0, t1, state, omega)

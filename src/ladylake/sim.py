@@ -1,7 +1,7 @@
 """Closed-loop forward simulation of the relative dynamics.
 
 Equilibrium lady against equilibrium man samples solution.rollout, the
-paper's closed-form path, on the time grid.  Other runs integrate the
+paper's closed-form path, segment by segment.  Other runs integrate the
 feedback strategies with error-controlled Dormand–Prince 5(4) steps, every
 discontinuity of the right-hand side at a step end: switch times bound the
 steps, and events (focal-line entry, tangency, origin passage, shore exit,
@@ -327,9 +327,9 @@ def simulate(
 ) -> Trajectory:
     """Run the closed loop from an initial canonical state, recording every dt.
 
-    Equilibrium lady against equilibrium man samples rollout(initial) on the
-    dt grid, each step cut at a segment's end and each record taken from the
-    segment in force there, so its events and t_final are the rollout's.
+    Equilibrium lady against equilibrium man samples rollout(initial), each
+    segment every dt from the time it starts, so its events and t_final are
+    the rollout's.
     The eq/eq starts that are integrated instead:
     - a classical path with V <= tol_event (below the critical mu), which
       reaches theta = 0 before the shore.
@@ -337,10 +337,10 @@ def simulate(
     Other runs take Dormand–Prince 5(4) steps (_dp45) that hold the local
     error to tol_step, until a lady who plays the focal-line control is on
     theta = pi; from there she follows focal.line_segment.  dt is only the
-    record spacing, counted from the last event: a record's state comes from
-    its step's interpolant and its controls from one strategy evaluation,
-    and the lady's memory is written only at step ends, so events and
-    t_final do not depend on dt.  Each discontinuity of the right-hand side
+    record spacing, counted from the last logged event: a record's state
+    comes from its step's interpolant and its controls from one strategy
+    evaluation, and the lady's memory is written only at step ends, so events
+    and t_final do not depend on dt.  Each discontinuity of the right-hand side
     ends a step.  The switching man's switch times bound the steps, each
     step taking his rate on its open interval.  The rest are events located
     on the interpolant: shore_exit, origin_passage, theta = 0 or pi crossed
@@ -401,48 +401,49 @@ def simulate(
             return 0.0, 0.0, sign * om, (c, s_, om), last
         return dr, (0.0 if line is not None else dth), sign * om, (c, s_, om), last
 
-    t_add, r_add, th_add, al_add, mirror_add, c_add, s_add, om_add = (
-        traj.t.append, traj.r.append, traj.theta.append, traj.man_angle.append,
-        traj.mirror.append, traj.cos_psi.append, traj.sin_psi.append, traj.omega.append)
+    columns = (traj.t, traj.r, traj.theta, traj.man_angle, traj.mirror, traj.cos_psi, traj.sin_psi, traj.omega)
 
     def record(tt, al, rr, thh, c, s_, om) -> None:
         """Append a state and its canonical controls in the true frame."""
-        t_add(tt)
-        r_add(rr)
-        th_add(thh)
-        al_add(al)
-        mirror_add(1 if sign < 0.0 else 0)
-        c_add(c)
-        s_add(sign * min(1.0, max(-1.0, s_)))
-        om_add(sign * om)
+        values = (tt, rr, thh, al, int(sign < 0.0), c, sign * min(1.0, max(-1.0, s_)), sign * om)
+        for column, value in zip(columns, values):
+            column.append(value)
+
+    def triangle(tt: float) -> float:
+        """M's angle at tt under the switching man: the integral of his +-1
+        square wave, which starts at +1."""
+        return period - abs(math.fmod(tt, 2.0 * period) - period)
 
     def follow(segs) -> bool:
-        """Record closed-form segments on the dt grid from t, each step cut at
-        a segment's end; whether the last one ends by t_max.  A segment's
-        rate for M holds between the switching man's switches, so M's angle
-        gains, for each piece of a step between them, the rate at its middle
-        times its length."""
+        """Record closed-form segments from t; whether the last one ends by
+        t_max.  A segment entered at t_s is recorded at t_s + k dt while that
+        is more than slack below its end (a middle segment's end is the next
+        one's first record), and the run's last record is exactly at the last
+        segment's end or at t_max.  M's angle is in closed form: a segment's
+        rate holds but for the switching man's, whose angle is triangle's."""
         nonlocal t, alpha
-        i, n_switch = 0, 1
-        t_switch = period if period else math.inf
-        while True:
-            while t >= segs[i].t1 and i + 1 < len(segs):
-                i += 1
-            seg = segs[i]
-            om = seg.omega(t)
-            record(t, alpha, *seg.state(t), om)
-            if t >= seg.t1 or t >= t_max - slack:
-                return t >= seg.t1
-            h = min(dt, t_max - t, seg.t1 - t)
-            a, b = t, t + h
-            while a < b:
-                while t_switch <= a:
-                    n_switch += 1
-                    t_switch = n_switch * period
-                cut = min(b, t_switch)
-                alpha += (cut - a) * sign * seg.omega(0.5 * (a + cut))
-                a = cut
-            t = seg.t1 if h == seg.t1 - t else t + h
+        for seg in segs:
+            t_s, a_s, t_end = t, alpha, min(seg.t1, t_max)
+            last = seg is segs[-1] or t_end >= t_max - slack
+            ts = [t_s + k * dt for k in range(max(0, int((t_end - slack - t_s) / dt) + 2))]
+            while ts and ts[-1] >= t_end - slack:
+                ts.pop()
+            if last:
+                ts.append(t_end)
+            if period:
+                oms, tri_s = [sign * om for om in map(seg.omega, ts)], triangle(t_s)
+                als = [a_s + triangle(tt) - tri_s for tt in ts]
+                t, alpha = t_end, a_s + triangle(t_end) - tri_s
+            else:
+                om = sign * seg.omega(t_s)
+                oms, als = [om] * len(ts), [a_s + om * (tt - t_s) for tt in ts]
+                t, alpha = t_end, a_s + om * (t_end - t_s)
+            rs, ths, cs, ss = zip(*map(seg.state, ts)) if ts else ((),) * 4
+            ss = ss if sign > 0.0 else [-s_ for s_ in ss]
+            for column, values in zip(columns, (ts, rs, ths, als, [int(sign < 0.0)] * len(ts), cs, ss, oms)):
+                column.extend(values)
+            if last:
+                return seg is segs[-1] and t_end == seg.t1
 
     def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:
         """theta' on the line thh (0 or pi) in this frame and in the mirrored
@@ -559,7 +560,7 @@ def simulate(
         end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
         k1, h = None, 0.1 * params.tol_step**0.2  # a first trial step; error control adapts it
         err_last, rejected = 1.0, False  # the last accepted step's error over tol_step; the last try's fate
-        anchor, n_rec = 0.0, 0  # records fall at anchor + n_rec dt
+        anchor, n_rec, n_events = 0.0, 0, 0  # records at anchor + n_rec dt, anchor the last logged event's time
         n_switch = 1 if period else 0
         t_switch = period if period else math.inf
         while True:
@@ -588,6 +589,8 @@ def simulate(
                     k1 = stage(t, r, th)
                 if k1[4] is not None:
                     lady_s.commit(t, r, k1[4])
+            if len(traj.events) > n_events:
+                anchor, n_rec, n_events = t, 0, len(traj.events)
             if end is not None or t >= t_max - slack or anchor + n_rec * dt <= t + slack:
                 record(t, alpha, r, th, *k1[3])
                 n_rec += 1
@@ -646,7 +649,6 @@ def simulate(
                 t, (r, th, alpha), k1 = t1, y1, ks[-1]
             else:
                 t, (r, th, alpha), k1 = t_end, y1, None
-                anchor, n_rec = t, 0
                 th = min(max(th, 0.0), _PI)
             if t >= t_switch:
                 n_switch += 1

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical, focal, universal
-from .model import ControlPair, GameParams, LakeGameError, PolarState, RegionError, Segment
+from .model import ControlPair, GameParams, PolarState, RegionError, Segment
 
 
 class Region(str, enum.Enum):
@@ -180,41 +180,3 @@ def rollout(
         t, (r, th, _, _) = seg.t1, seg.state(seg.t1)
         events.append((t, _END[kind]))
     return tuple(segments), tuple(events)
-
-
-@dataclass(frozen=True)
-class GridCell:
-    r: float
-    theta: float
-    region: Region | None
-    value: float | None
-    value_kind: ValueKind | None
-    error: str | None = None
-
-
-def value_grid(params: GameParams, n_r: int, n_theta: int) -> list[GridCell]:
-    """advise() on a uniform grid over (eps_r, 1] x [0, pi].
-
-    Per-cell failures are captured in the cell record; the grid never
-    aborts.
-    """
-    if n_r < 2 or n_theta < 2:
-        raise ValueError("grid sizes must be >= 2")
-    cells = []
-    for i in range(n_r):
-        r = params.eps_r + (1.0 - params.eps_r) * (i + 1) / n_r
-        for j in range(n_theta):
-            theta = math.pi * j / (n_theta - 1)
-            state = PolarState(r, theta)
-            try:
-                adv = advise(state, params, omega_now=1.0)
-                cells.append(
-                    GridCell(r, theta, adv.region, adv.value, adv.value_kind)
-                )
-            except LakeGameError as exc:
-                try:
-                    region = classify(state, params)
-                except LakeGameError:
-                    region = None
-                cells.append(GridCell(r, theta, region, None, None, str(exc)))
-    return cells

@@ -54,6 +54,19 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["region"] == "UniversalTributary"
 
+    @pytest.mark.parametrize("theta", ["3.14159", "3.141592653589793"])
+    def test_negative_exponent_is_a_number(self, capsys, theta):
+        # argparse's own negative-number pattern has no exponent, so it read
+        # -1e-3 as an option and exited 2.  On the focal line the rate sets
+        # the heading, so the value read shows in the JSON.
+        argv = ("solve", "--mu", "0.3", "--r", "0.15", "--theta", theta)
+        code, out, _ = run(capsys, *argv, "--omega-now", "-1e-3")
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--omega-now=-1e-3")[:2]
+        assert out == run(capsys, *argv, "--omega-now", "-0.001")[1]
+        if theta == "3.141592653589793":
+            assert json.loads(out)["sin_psi"] == pytest.approx(-1e-3 * 0.15 / 0.3)
+
     def test_origin_exit_0(self, capsys):
         code, out, _ = run(capsys, "solve", "--mu", "0.3", "--r", "0", "--theta", "1")
         assert code == 0

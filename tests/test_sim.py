@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -23,6 +24,7 @@ def params():
 FORK = "fork" in multiprocessing.get_all_start_methods()
 WORST_11 = (0.5612736039798538, 0.16934813511663976)  # criterion 11's worst start
 SIMULATE = sim.simulate  # unpatched, for the serial reference
+_EQ_LADY, _EQ_MAN = sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")
 
 
 def eq_run(state, params, dt=1e-4, t_max=20.0):
@@ -84,9 +86,9 @@ class TestFocalLineRun:
 
     @pytest.mark.parametrize("dt", [1e-3, 0.07])
     def test_man_angle_under_switching_man_is_triangle_wave(self, params, dt):
-        # A step that contains a switch is split there, so M's angle is his
-        # rate's exact integral on any record grid.  A step taken across the
-        # switch in one piece read 6.7e-4 off at dt = 1e-3 and 0.053 at 0.07.
+        # M's angle is his rate's exact integral on any record grid.  A step
+        # taken across a switch at one rate read 6.7e-4 off at dt = 1e-3 and
+        # 0.053 at 0.07.
         traj = sim.simulate(PolarState(0.05, math.pi), sim.StrategySpec.equilibrium("lady"),
                             sim.StrategySpec.switching_omega(0.2), dt=dt, params=params)
         t_e = math.pi / 2 - math.asin(0.05 / MU)  # |omega| = 1 on the line
@@ -189,6 +191,65 @@ class TestFocalLineClosedForm:
             assert (traj.steps, traj.rejected, traj.evaluations) == (0, 0, 0)
             calls.clear()
 
+    @pytest.mark.parametrize(
+        "start,man,w",
+        [((0.15, math.pi), _EQ_MAN, 1.0), ((0.2, 1.0), _EQ_MAN, 1.0),
+         ((0.15, math.pi), sim.StrategySpec.constant_omega(0.8), 0.8),
+         ((0.05, math.pi), sim.StrategySpec.switching_omega(0.2), 1.0)],
+        ids=["line-eq", "tributary-eq", "line-constant-0.8", "line-switching"],
+    )
+    def test_heading_next_to_e_from_the_phase(self, params, start, man, w):
+        # Taken as sqrt(1 - sin^2), cos_psi lost up to 2e-8, relative, in the
+        # last 0.05 before E; read off the phase it keeps its digits.
+        traj = sim.simulate(PolarState(*start), _EQ_LADY, man, dt=1e-4, params=params)
+        assert traj.outcome == "reached_e"
+        t1, near = traj.t_final, 0
+        for t, c, s in zip(traj.t, traj.cos_psi, traj.sin_psi):
+            if 0.0 < t1 - t <= 0.05:
+                near += 1
+                assert abs(c * c + s * s - 1.0) <= 4e-16
+                assert c == pytest.approx(math.cos(math.asin(w) - w * (t1 - t)), rel=1e-15, abs=0.0)
+        assert near >= 400
+
+    @pytest.mark.parametrize(
+        "start,man",
+        [((0.15, math.pi), "equilibrium"), ((0.2, 1.0), "equilibrium"), ((0.15, 0.3), "equilibrium"),
+         ((0.15, math.pi), "constant_0.8"), ((0.15, math.pi), "switching_0.2")],
+    )
+    def test_one_state_call_per_record(self, params, monkeypatch, start, man):
+        # Records are taken column by column: one state call each, and the
+        # man's rate once a segment unless he switches.  Equilibrium play
+        # follows the rollout; a deviating man's run from the line follows
+        # one focal-line segment.
+        calls = {"state": 0, "omega": 0}
+
+        def counted(seg):
+            def state(t):
+                calls["state"] += 1
+                return seg.state(t)
+
+            def omega(t):
+                calls["omega"] += 1
+                return seg.omega(t)
+
+            return dataclasses.replace(seg, state=state, omega=omega)
+
+        def counted_rollout(*args):
+            segments, events = rollout(*args)
+            return tuple(map(counted, segments)), events
+
+        rollout, line_segment = sim.rollout, focal.line_segment
+        n_segments = len(rollout(PolarState(*start), params)[0]) if man == "equilibrium" else 1
+        if man == "equilibrium":
+            monkeypatch.setattr(sim, "rollout", counted_rollout)
+        else:
+            monkeypatch.setattr(focal, "line_segment", lambda *a: counted(line_segment(*a)))
+        spec = self.MEN[man][0]
+        traj = sim.simulate(PolarState(*start), _EQ_LADY, spec, dt=1e-4, params=params)
+        assert traj.outcome == "reached_e" and len(traj.t) > 1000
+        assert calls["state"] == len(traj.t)
+        assert calls["omega"] == (len(traj.t) if spec.period else n_segments)
+
 
 class TestExactArrival:
     def test_focal_line_start(self, params):
@@ -258,6 +319,19 @@ class TestRollout:
         for t, r, theta in zip(traj.t, traj.r, traj.theta):
             seg = next(sg for sg in reversed(segments) if sg.t0 <= t)
             assert seg.state(t)[:2] == (r, theta)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", list(_CLASS_STARTS))
+    def test_records_on_each_segments_exact_grid(self, params, name, dt):
+        # Each segment is recorded at t0 + k dt from its own start, and the
+        # run at its last segment's end; a running sum of dt drifts off it.
+        segments, _ = sim.rollout(PolarState(*_CLASS_STARTS[name]), params)
+        traj = eq_run(PolarState(*_CLASS_STARTS[name]), params, dt=dt)
+        for t in traj.t:
+            seg = next(sg for sg in reversed(segments) if sg.t0 <= t)
+            assert t in (seg.t0 + round((t - seg.t0) / dt) * dt, seg.t1)
+        assert all(b - a > params.slack for a, b in zip(traj.t, traj.t[1:]))
+        assert traj.t[-1] == segments[-1].t1
 
     @pytest.mark.parametrize("name", ["focal_tributary_one", "universal_tributary", "above_barrier"])
     def test_short_horizon_times_out_at_t_max(self, params, name):
@@ -763,9 +837,6 @@ class TestLadyMatchesAdvise:
                 assert s == pytest.approx(adv.controls.sin_psi, abs=1e-6), (r, theta)
 
 
-_EQ_LADY, _EQ_MAN = sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")
-
-
 class TestTangencyAtCoarseSteps:
     """Runs whose tributary passes the tangency circle land, at dt = 1e-3,
     within 1e-3 of their dt = 2e-5 arrival time (given to 5 decimals)."""
@@ -854,6 +925,18 @@ class TestIntegrator:
             assert (run.outcome, run.events, run.t_final) == (fine.outcome, fine.events, fine.t_final)
             assert (run.steps, run.rejected) == (fine.steps, fine.rejected)
         assert len(bare.t) <= len(bare.events) + 2 < len(coarse.t) < len(fine.t)
+
+    @pytest.mark.parametrize("start", [(0.2, 1.0), WORST_11, (0.15, 0.3), (0.1, 2.85), (0.15, 0.0)])
+    @pytest.mark.parametrize("t_max", [20.0, 1.3])
+    def test_records_at_spacing_t_max_fall_at_logged_events(self, params, start, t_max):
+        # The record grid restarts at logged events only: the loss of case
+        # Two's root, the end of a slide and a clamp onto [0, pi] log none.
+        # perturbed(-0.05) from (0.2, 1.0) loses case Two's root on its way.
+        pairs = (*_RUN_SET_PAIRS[1:], (_EQ_LADY, sim.StrategySpec.constant_omega(0.0)))
+        for lady, man in pairs:
+            traj = sim.simulate(PolarState(*start), lady, man, dt=t_max, t_max=t_max, params=params)
+            times = dict.fromkeys([0.0, *(t for t, _ in traj.events)])
+            assert traj.t == [*times, *([t_max] if traj.outcome == "timeout" else [])], (lady, man)
 
     def test_switch_is_a_step_end(self, params):
         # Up to the switch at t = 0.2 the man runs at +1, as the equilibrium man

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ladylake import classical, focal, solution
 from ladylake.model import GameParams, PolarState, RegionError
-from ladylake.solution import Region, ValueKind, advise, classify, value_grid
+from ladylake.solution import Region, ValueKind, advise, classify
 
 MU = 0.3
 # Speed ratios over the whole range, plus a dense band around the
@@ -179,13 +179,12 @@ class TestAtE:
 
 class TestValueGrid:
     def test_smoke(self, params):
-        cells = value_grid(params, 10, 10)
-        assert len(cells) == 100
-        assert all(c.error is None for c in cells)
-
-    def test_grid_size_validation(self, params):
-        with pytest.raises(ValueError):
-            value_grid(params, 1, 10)
+        # advise answers on a uniform 10 x 10 grid over (eps_r, 1] x [0, pi].
+        eps_r = params.eps_r
+        states = [PolarState(eps_r + (1.0 - eps_r) * (i + 1) / 10, math.pi * j / 9)
+                  for i in range(10) for j in range(10)]
+        advice = [advise(state, params, omega_now=1.0) for state in states]
+        assert len(advice) == 100
 
     def test_min_time_continuity_across_partition(self, params):
         # The two min-time value branches agree on theta = r/mu.
