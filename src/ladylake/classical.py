@@ -143,11 +143,6 @@ def barrier_side(r: float, theta: float, params: GameParams) -> BarrierSide:
     return BarrierSide.ABOVE if theta > b else BarrierSide.BELOW
 
 
-def classify_vs_barrier(state: PolarState, params: GameParams) -> BarrierSide:
-    """Locate a state relative to the barrier curve, within tol_event."""
-    return barrier_side(state.r, state.theta, params)
-
-
 def solve_classical(state: PolarState, params: GameParams) -> ClassicalSolution:
     """Bundle the classical equilibrium controls and value at a state."""
     heading = classical_heading(state, params)

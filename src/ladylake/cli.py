@@ -122,7 +122,7 @@ def parse_strategy(side: str, text: str) -> StrategySpec:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = GameParams(args.mu)
-    state, _ = canonicalize(args.r, args.theta)
+    state = canonicalize(args.r, args.theta)
     adv = advise(state, params, omega_now=args.omega_now)
     out = {
         "region": adv.region.value,
@@ -253,7 +253,7 @@ def _simulate_svg(cart) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = GameParams(args.mu)
-    state, _ = canonicalize(args.r0, args.theta0)
+    state = canonicalize(args.r0, args.theta0)
     lady = parse_strategy("lady", args.lady)
     man = parse_strategy("man", args.man)
     traj = simulate(state, lady, man, dt=args.dt, t_max=args.t_max, params=params)

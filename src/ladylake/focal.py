@@ -68,7 +68,7 @@ def fl_control(state: PolarState, omega_now: float, params: GameParams) -> Contr
         raise RegionError(f"state with theta = {state.theta} is not on the focal line")
     if state.r > mu + params.tol_event:
         raise DomainError(f"focal line requires r <= mu, got r = {state.r}")
-    if abs(omega_now) > 1.0 + params.slack:
+    if not abs(omega_now) <= 1.0 + params.slack:
         raise DomainError(f"|omega_now| must be <= 1, got {omega_now}")
     return ControlPair(*fl_heading_at(min(state.r, mu), omega_now, mu), omega_now)
 
@@ -111,11 +111,6 @@ def time_on_focal_line(s: float, params: GameParams) -> float:
     if not 0.0 <= s <= mu + params.slack:
         raise DomainError(f"entry radius must lie in [0, mu], got {s}")
     return 0.5 * math.pi - math.asin(min(1.0, s / mu))
-
-
-def tangency_radius(s: float, params: GameParams) -> float:
-    """Closest-approach radius s^2/mu of the tributary with entry radius s."""
-    return s * s / params.mu
 
 
 def tangency_time(s: float, params: GameParams) -> float:
@@ -226,21 +221,14 @@ def _delta(times):
     return t_lady - t_man
 
 
-def arrival_times(
-    state: PolarState, s: float, case: EntryCase, params: GameParams
-) -> tuple[float, float]:
-    """Travel times of L (straight tangent path) and M (shore arc) to the
-    aligned entry configuration (s, pi)."""
-    if case is EntryCase.TWO and s < state.r - params.slack:
-        raise DomainError(f"case Two requires s >= r, got s = {s}, r = {state.r}")
-    return _times(_legs(state.r, s, params.mu), state.theta, case, params.mu)
-
-
 def entry_delta(
     state: PolarState, s: float, case: EntryCase, params: GameParams
 ) -> float:
-    """Arrival-time mismatch of L over M; its roots are entry candidates."""
-    return _delta(arrival_times(state, s, case, params))
+    """Arrival-time mismatch of L (straight tangent path) over M (shore arc)
+    at the aligned entry configuration (s, pi); its roots are entry candidates."""
+    if case is EntryCase.TWO and s < state.r - params.slack:
+        raise DomainError(f"case Two requires s >= r, got s = {s}, r = {state.r}")
+    return _delta(_times(_legs(state.r, s, params.mu), state.theta, case, params.mu))
 
 
 def _newton(r: float, theta: float, s: float, case: EntryCase, mu: float) -> tuple[float, float]:

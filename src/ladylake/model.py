@@ -9,7 +9,7 @@ theta in [0, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 
@@ -39,12 +39,6 @@ def classical_drift(r: float, mu: float) -> float:
     return math.sqrt(max(0.0, r * r / mu**2 - 1.0)) - math.acos(min(1.0, mu / r))
 
 
-def _critical_flag(mu: float) -> bool:
-    # The min-time game is still defined when the guaranteed escape angle
-    # is non-positive, so this is only a flag.
-    return math.pi - classical_drift(1.0, mu) <= 0.0
-
-
 @dataclass(frozen=True)
 class GameParams:
     """Game parameter mu plus the one table of numerical tolerances.
@@ -55,7 +49,6 @@ class GameParams:
     """
 
     mu: float
-    below_critical: bool = field(init=False)
 
     eps_r: ClassVar[float] = 1e-9  # theta is singular below this radius
     tol_root: ClassVar[float] = 1e-12  # bracket width at which a root search stops
@@ -70,7 +63,6 @@ class GameParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:
             raise DomainError(f"mu must lie in (0, 1), got {self.mu}")
-        object.__setattr__(self, "below_critical", _critical_flag(self.mu))
 
 
 @dataclass(frozen=True)
@@ -105,9 +97,9 @@ class ControlPair:
 
     def __post_init__(self) -> None:
         norm = self.cos_psi**2 + self.sin_psi**2
-        if abs(norm - 1.0) > GameParams.slack:
+        if not abs(norm - 1.0) <= GameParams.slack:
             raise DomainError(f"heading must be a unit vector, |.|^2 = {norm}")
-        if abs(self.omega) > 1.0 + GameParams.slack:
+        if not abs(self.omega) <= 1.0 + GameParams.slack:
             raise DomainError(f"|omega| must be <= 1, got {self.omega}")
 
 
@@ -140,49 +132,18 @@ class CartesianPose:
             raise DomainError("L must lie inside the lake")
 
 
-def state_derivative(
-    state: PolarState, controls: ControlPair, params: GameParams
-) -> tuple[float, float]:
-    """Relative dynamics (dr/dt, dtheta/dt).
-
-    The theta dynamics are singular at the origin, so radii below
-    params.eps_r are rejected.
-    """
-    if state.r < params.eps_r:
-        raise DomainError(
-            f"r = {state.r} below cutoff {params.eps_r}; theta dynamics singular"
-        )
-    return rates(state.r, controls.cos_psi, controls.sin_psi, controls.omega, params.mu)
-
-
 def rates(r, cos_psi, sin_psi, omega, mu: float):
     """(dr/dt, dtheta/dt) on plain floats, unchecked; the one home of the
     dynamics."""
     return mu * cos_psi, mu / r * sin_psi - omega
 
 
-def canonicalize(r: float, theta_signed: float) -> tuple[PolarState, bool]:
-    """Fold a signed-angle state onto the canonical half-plane.
-
-    Returns the canonical state and a flag that is True iff the input
-    angle was negative (the state was mirrored).
-    """
+def canonicalize(r: float, theta_signed: float) -> PolarState:
+    """Fold a signed-angle state onto the canonical half-plane by the mirror
+    symmetry theta -> -theta."""
     if not -math.pi - GameParams.slack <= theta_signed <= math.pi + GameParams.slack:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta_signed}")
-    reflected = theta_signed < 0.0
-    return PolarState(r, abs(theta_signed)), reflected
-
-
-def reflect_controls(controls: ControlPair, reflected: bool) -> ControlPair:
-    """Map canonical-half-plane controls back through the mirror symmetry."""
-    if not reflected:
-        return controls
-    return ControlPair(
-        controls.cos_psi,
-        -controls.sin_psi,
-        -controls.omega,
-        controls.omega_arbitrary,
-    )
+    return PolarState(r, abs(theta_signed))
 
 
 def to_cartesian(state: PolarState, man_angle: float) -> CartesianPose:
@@ -195,13 +156,3 @@ def cartesian_at(r: float, theta: float, man_angle: float) -> tuple[float, float
     theta; the one home of the lift."""
     ang_L = man_angle + theta
     return r * math.cos(ang_L), r * math.sin(ang_L), math.cos(man_angle), math.sin(man_angle)
-
-
-def from_cartesian(pose: CartesianPose) -> tuple[PolarState, float, bool]:
-    """Invert to_cartesian: recover (state, man_angle, reflected)."""
-    man_angle = math.atan2(pose.y_M, pose.x_M)
-    r = math.hypot(pose.x_L, pose.y_L)
-    rel = math.atan2(pose.y_L, pose.x_L) - man_angle
-    rel = math.remainder(rel, 2.0 * math.pi)
-    state, reflected = canonicalize(min(r, 1.0), rel)
-    return state, man_angle, reflected

@@ -50,16 +50,19 @@ class StrategySpec:
         allowed = kinds_lady if self.side == "lady" else kinds_man
         if self.kind not in allowed:
             raise DomainError(f"kind {self.kind} not allowed for side {self.side}")
-        if self.kind == "constant_omega" and abs(self.value) > 1.0:
+        # Each range check is written "not x <= bound", so that NaN fails it.
+        if self.kind == "constant_omega" and not abs(self.value) <= 1.0:
             raise DomainError(f"|omega| must be <= 1, got {self.value}")
-        if self.kind == "switching_omega" and self.period <= 0.0:
-            raise DomainError("switching period must be positive")
+        if self.kind == "switching_omega" and not 0.0 < self.period < math.inf:
+            raise DomainError(f"switching period must be finite and positive, got {self.period}")
+        if not math.isfinite(self.delta_psi):
+            raise DomainError(f"delta_psi must be finite, got {self.delta_psi}")
         if self.kind == "fixed_heading":
             if self.heading is None:
                 raise DomainError("fixed_heading needs a heading")
             c, s = self.heading
-            if abs(c * c + s * s - 1.0) > GameParams.input_slack:
-                raise DomainError("fixed heading must be a unit vector")
+            if not abs(c * c + s * s - 1.0) <= GameParams.input_slack:
+                raise DomainError(f"fixed heading must be a finite unit vector, got {self.heading}")
             n = math.hypot(c, s)  # stored normalised, so no later unit check refuses it
             object.__setattr__(self, "heading", (c / n, s / n))
 
@@ -492,7 +495,7 @@ def simulate(
             s_hi = min(mu, math.sqrt(mu * rr))
             if up < 0.0 and s_hi < rr:
                 return True
-            return up * focal.entry_delta(PolarState(rr, thh), s_hi, case, params) < 0.0
+            return up * focal._newton(rr, thh, s_hi, case, mu)[0] < 0.0
 
         return past
 
@@ -650,9 +653,6 @@ def simulate(
             else:
                 t, (r, th, alpha), k1 = t_end, y1, None
                 th = min(max(th, 0.0), _PI)
-            if t >= t_switch:
-                n_switch += 1
-                t_switch, k1 = n_switch * period, None
             if kind == "shore_exit":
                 r, end = 1.0, kind
             elif kind == "origin_passage":
@@ -668,12 +668,13 @@ def simulate(
                 traj.events.append((t, kind))
             elif kind in ("ul_cross", "fl_cross"):
                 # theta = 0 or pi crossed: a snapping lady enters the singular
-                # line (the focal line only up to E), else the frame is mirrored.
+                # line (the focal line only up to E), else the frame is mirrored;
+                # at a switch, theta = 0 is left to the new step sequence and his new rate.
                 lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
                 if lands_on_fl or (snap_to_fl and kind == "ul_cross" and slides(t, r)):
                     r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
                     traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
-                else:
+                elif kind == "fl_cross" or t < t_switch:
                     sign = -sign
                     traj.events.append((t, "reflection"))
                 end = "reached_e" if at_e(r, th) else None
@@ -684,6 +685,9 @@ def simulate(
                 lady_s.freeze(min(mu, math.sqrt(mu * max(r, eps_r))))
             elif kind == "barrier_crossing":
                 traj.events.append((t, kind))
+            if t >= t_switch:
+                n_switch += 1
+                t_switch, k1 = n_switch * period, None
             if lands_on_fl:
                 break
     if lands_on_fl:

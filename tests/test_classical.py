@@ -68,6 +68,12 @@ class TestEscapeAngle:
             0.0, abs=1e-10
         )
 
+    def test_sign_either_side_of_critical(self):
+        # The escape angle is non-positive below the critical mu, where the
+        # min-time game is still defined.
+        assert classical.escape_angle(GameParams(0.2)) <= 0.0
+        assert not classical.escape_angle(GameParams(0.3)) <= 0.0
+
     def test_limit_fast_swimmer(self):
         assert classical.escape_angle(GameParams(1.0 - 1e-12)) == pytest.approx(
             math.pi, abs=1e-5
@@ -151,25 +157,23 @@ class TestSemipermeability:
 class TestClassify:
     def test_above(self, params):
         b = classical.barrier_theta(0.6, params)
-        state = PolarState(0.6, min(b + 0.2, math.pi))
-        assert classical.classify_vs_barrier(state, params) is classical.BarrierSide.ABOVE
+        side = classical.barrier_side(0.6, min(b + 0.2, math.pi), params)
+        assert side is classical.BarrierSide.ABOVE
 
     def test_on(self, params):
         b = classical.barrier_theta(0.6, params)
-        state = PolarState(0.6, b)
-        assert classical.classify_vs_barrier(state, params) is classical.BarrierSide.ON
+        assert classical.barrier_side(0.6, b, params) is classical.BarrierSide.ON
 
     def test_below_small_r(self, params):
-        state = PolarState(0.15, 2.0)
-        assert classical.classify_vs_barrier(state, params) is classical.BarrierSide.BELOW
+        assert classical.barrier_side(0.15, 2.0, params) is classical.BarrierSide.BELOW
 
     @given(r=st.floats(0.31, 1.0), offset=st.floats(1e-6, 0.5))
     def test_above_below_consistency(self, r, offset):
         params = GameParams(MU)
         b = classical.barrier_theta(r, params)
         if b + offset <= math.pi:
-            side = classical.classify_vs_barrier(PolarState(r, b + offset), params)
+            side = classical.barrier_side(r, b + offset, params)
             assert side is classical.BarrierSide.ABOVE
         if b - offset >= 0.0:
-            side = classical.classify_vs_barrier(PolarState(r, b - offset), params)
+            side = classical.barrier_side(r, b - offset, params)
             assert side is classical.BarrierSide.BELOW

@@ -284,3 +284,21 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--mu", "0.3", "--grid", "5", "--dt", dt)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--man", "constant:nan"),
+        ("simulate", "--man", "switching:nan"),
+        ("simulate", "--man", "switching:inf"),
+        ("simulate", "--lady", "perturbed:nan"),
+        ("simulate", "--lady", "perturbed:inf"),
+        ("simulate", "--lady", "fixed:nan,nan"),
+        ("solve", "--r", "0.1", "--theta", "3.141592653589793", "--omega-now", "nan"),
+    ], ids=lambda argv: argv[-1])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        # constant:nan used to play as constant:-1, and --omega-now nan to print
+        # "omega": NaN, which is not JSON; both exited 0.
+        cmd, *rest = argv
+        start = ("--r0", "0.2", "--theta0", "1.0") if cmd == "simulate" else ()
+        code, out, err = run(capsys, cmd, "--mu", "0.3", *start, *rest)
+        assert code == 2
+        assert out == "" and err.startswith("error:")

@@ -42,6 +42,10 @@ class TestFlControl:
         with pytest.raises(DomainError):
             focal.fl_control(PolarState(0.5, math.pi), 1.0, params)
 
+    def test_nan_rate_rejected(self, params):
+        with pytest.raises(DomainError):
+            focal.fl_control(PolarState(0.15, math.pi), math.nan, params)
+
 
 class TestTimeOnFocalLine:
     def test_endpoints(self, params):
@@ -108,11 +112,11 @@ class TestFlowfield:
         for s in (0.05, 0.15, 0.25):
             tau_bar = focal.tangency_time(s, params)
             smp = focal.flowfield_sample(s, tau_bar, params)
-            assert smp.r == pytest.approx(focal.tangency_radius(s, params), abs=1e-12)
+            assert smp.r == pytest.approx(s * s / MU, abs=1e-12)
 
     def test_closest_approach_is_minimum(self, params):
         s = 0.15
-        a = focal.tangency_radius(s, params)
+        a = s * s / MU
         for tau in np.linspace(0.0, 1.5, 200):
             assert focal.flowfield_sample(s, tau, params).r >= a - 1e-12
 
@@ -172,14 +176,13 @@ def _flowfield_vs_rk4(s, params, tau_end=2.0, dtau=1e-3):
 
 
 class TestArrivalTimes:
-    def test_degenerate_on_line(self, params):
-        t_lady, t_man = focal.arrival_times(
-            PolarState(0.1, math.pi), 0.1, focal.EntryCase.TWO, params
-        )
+    # (t_lady, t_man) by focal._times on focal._legs; entry_delta is their mismatch.
+    def test_degenerate_on_line(self):
+        t_lady, t_man = focal._times(focal._legs(0.1, 0.1, MU), math.pi, focal.EntryCase.TWO, MU)
         assert t_lady == pytest.approx(0.0, abs=1e-12)
         assert t_man == pytest.approx(0.0, abs=1e-12)
 
-    def test_cartesian_geometry_oracle(self, params):
+    def test_cartesian_geometry_oracle(self):
         # Independent oracle: L's straight path is tangent to the circle
         # of radius s^2/mu, length = difference/sum of the two tangent
         # legs; M walks the matching arc at unit speed.
@@ -187,18 +190,14 @@ class TestArrivalTimes:
         a = s * s / MU
         leg_from_r = math.sqrt(r * r - a * a)
         leg_from_s = math.sqrt(s * s - a * a)
-        t_lady, t_man = focal.arrival_times(
-            PolarState(r, theta), s, focal.EntryCase.ONE, params
-        )
+        t_lady, t_man = focal._times(focal._legs(r, s, MU), theta, focal.EntryCase.ONE, MU)
         assert t_lady == pytest.approx((leg_from_r + leg_from_s) / MU, abs=1e-12)
         arc = theta + math.acos(a / r) + math.acos(s / MU) - math.pi
         assert t_man == pytest.approx(arc, abs=1e-12)
 
     def test_case_two_requires_s_at_least_r(self, params):
         with pytest.raises(DomainError):
-            focal.arrival_times(
-                PolarState(0.2, 2.0), 0.1, focal.EntryCase.TWO, params
-            )
+            focal.entry_delta(PolarState(0.2, 2.0), 0.1, focal.EntryCase.TWO, params)
 
     def test_delta_continuous_on_grid(self, params):
         state = PolarState(0.05, 2.0)

@@ -96,6 +96,37 @@ def test_every_tolerance_has_a_reader():
     assert [n for n in table if n not in read] == []
 
 
+# Public names that nothing in src/ reads, each with the reader it is kept for.
+PUBLIC_READERS = {
+    "entry_delta": "perfbench's query oracle",
+    "solve_classical": "perfbench's classical layer",
+    "tangency_time": "perfbench's focal layer",
+    "escape_angle": "the whole-game value of ROADMAP item 4",
+    "px_to_polar": "the SVG tests, which invert the pixel mapping",
+    "px_to_cart": "the SVG tests, which invert the pixel mapping",
+    "to_cartesian": "callers who build the exported CartesianPose",
+    "trajectory_hamiltonians": "the acceptance criteria",
+}
+
+
+def test_every_public_name_has_a_reader():
+    # A module-level function or class that no module reads, as a name, an
+    # attribute or an import, is dead surface unless a reader outside src/ is named.
+    defined, read = set(), set()
+    for path in Path(ladylake.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and not n.name.startswith("_")}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    assert sorted(defined - read) == sorted(PUBLIC_READERS)
+
+
 # Runs argv through cli.main in a fresh interpreter (no argv: the import
 # alone) and prints whether numpy and multiprocessing were loaded.
 NUMPY_PROBE = """\

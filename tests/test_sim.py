@@ -469,6 +469,25 @@ class TestUniversalLineRun:
         assert traj.events[0][1] == "reflection"
         assert traj.outcome == "reached_e"
 
+    def test_touching_theta_zero_at_a_switch_is_no_reflection(self, params):
+        # theta falls to 0 exactly at the switch t = 0.4 and rises after it
+        # (0.001, 0.0, 0.001 at t = 0.399, 0.4, 0.401): she only touches the
+        # line, so the frame keeps the one mirror taken at the start.
+        traj = sim.simulate(
+            PolarState(0.15, 0.0),
+            sim.StrategySpec.equilibrium("lady"),
+            sim.StrategySpec.switching_omega(0.2),
+            dt=1e-3,
+            params=params,
+        )
+        assert [k for _, k in traj.events] == ["reflection", "tangency", "fl_entry", "reached_e"]
+        assert traj.events[0][0] == 0.0
+        assert traj.outcome == "reached_e"
+        assert traj.t_final == 2.0707400629187775
+        k = traj.t.index(0.4)
+        assert traj.theta[k - 1:k + 2] == pytest.approx([0.001, 0.0, 0.001], abs=1e-12)
+        assert set(traj.mirror) == {1}
+
 
 class TestFocalTributaryRun:
     @pytest.mark.parametrize("r,theta", [(0.2, 1.0), (0.05, 2.5), (0.5, 2.0)])
@@ -595,6 +614,20 @@ class TestDegenerateStarts:
                 params=params,
                 **{field: value},
             )
+
+    @pytest.mark.parametrize("make, args", [
+        ("constant_omega", (math.nan,)),
+        ("switching_omega", (math.nan,)),
+        ("switching_omega", (math.inf,)),
+        ("perturbed", (math.nan,)),
+        ("perturbed", (math.inf,)),
+        ("fixed_heading", (math.nan, math.nan)),
+        ("fixed_heading", (math.inf, 0.0)),
+    ])
+    def test_non_finite_strategy_argument(self, make, args):
+        # max(-1.0, nan) is -1.0, so a NaN let through would play as a legal value.
+        with pytest.raises(DomainError):
+            getattr(sim.StrategySpec, make)(*args)
 
 
 class TestNonEquilibriumLady:
