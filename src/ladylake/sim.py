@@ -441,10 +441,14 @@ def simulate(
                 om = sign * seg.omega(t_s)
                 oms, als = [om] * len(ts), [a_s + om * (tt - t_s) for tt in ts]
                 t, alpha = t_end, a_s + om * (t_end - t_s)
-            rs, ths, cs, ss = zip(*map(seg.state, ts)) if ts else ((),) * 4
-            ss = ss if sign > 0.0 else [-s_ for s_ in ss]
-            for column, values in zip(columns, (ts, rs, ths, als, [int(sign < 0.0)] * len(ts), cs, ss, oms)):
+            for column, values in zip((traj.t, traj.man_angle, traj.mirror, traj.omega),
+                                      (ts, als, [int(sign < 0.0)] * len(ts), oms)):
                 column.extend(values)
+            for i in range(0, len(ts), 1024):  # 1,024 states at a time, to bound the peak
+                rs, ths, cs, ss = zip(*map(seg.state, ts[i:i + 1024]))
+                ss = ss if sign > 0.0 else [-s_ for s_ in ss]
+                for column, values in zip((traj.r, traj.theta, traj.cos_psi, traj.sin_psi), (rs, ths, cs, ss)):
+                    column.extend(values)
             if last:
                 return seg is segs[-1] and t_end == seg.t1
 
@@ -722,16 +726,53 @@ def _deviation_run(job: tuple) -> tuple[str, float]:
 
 def _map_runs(jobs: list[tuple]) -> list[tuple[str, float]]:
     """_deviation_run over jobs in order; deviation_report says where it forks."""
-    import multiprocessing.pool  # here, so that only this call loads it
+    import multiprocessing  # here, so that only this call loads it
     import threading
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(jobs), cpus)
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon or threading.active_count() > 1):
         return list(map(_deviation_run, jobs))
-    # One job per task in row order, so the long delta_psi=-0.05 run overlaps the others.
-    with multiprocessing.pool.Pool(workers, context=multiprocessing.get_context("fork")) as pool:
-        return pool.map(_deviation_run, jobs, chunksize=1)
+    # Job indices wait in one pipe, closed for writing before any fork; each process takes
+    # the next in row order as it becomes free, so the long delta_psi=-0.05 run overlaps the others.
+    taken, put = os.pipe()
+    os.write(put, bytes(range(len(jobs))))
+    os.close(put)
+
+    def take() -> list[tuple]:
+        done = []
+        while k := os.read(taken, 1):
+            try:
+                done.append((k[0], True, _deviation_run(jobs[k[0]])))
+            except Exception as exc:  # sent back, then raised by the caller in row order
+                done.append((k[0], False, exc))
+        return done
+
+    context, children = multiprocessing.get_context("fork"), []
+    try:
+        for _ in range(workers - 1):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=lambda send=send: send.send(take()))
+            child.start()
+            children.append((child, receive))
+            send.close()  # so that a child's death reads as EOF
+        done = take()
+        for child, receive in children:
+            try:
+                done += receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a deviation child exited with code {child.exitcode}, sending nothing") from None
+    finally:
+        os.close(taken)
+        for child, receive in children:
+            receive.close()
+            child.join()
+    done.sort()  # by index, which no two runs share
+    for _, ok, result in done:
+        if not ok:
+            raise result
+    return [result for _, _, result in done]
 
 
 def deviation_report(
@@ -748,10 +789,11 @@ def deviation_report(
     and its end (spacing t_max), and the rows are the same at every dt.  dt
     is kept for callers and refused where simulate would refuse it.
 
-    The five runs are independent and run at once on up to five forked worker
-    processes, one per CPU available.  They run in-process with one CPU,
-    without fork, in a daemonic caller (which may have no children) or beside
-    other threads (where a fork is unsafe); the rows are the same either way.
+    The five runs are independent and run at once: the caller takes them one
+    at a time beside up to four forked children, one process per CPU.  They
+    run in-process with one CPU, without fork, in a daemonic caller (which may
+    have no children) or beside other threads (where a fork is unsafe); the
+    rows are the same either way.  RuntimeError if a child dies sending nothing.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError("dt must be finite and positive")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import classical, focal, universal
-from .model import ControlPair, GameParams, PolarState, RegionError, Segment
+from .model import ControlPair, DomainError, GameParams, PolarState, RegionError, Segment
 
 
 class Region(str, enum.Enum):
@@ -95,8 +95,10 @@ def advise(
     """Equilibrium controls and value at a state.
 
     omega_now is required only on the focal line, where L's control
-    reacts to M's instantaneous rate.
+    reacts to M's instantaneous rate; given anywhere, it must be a rate.
     """
+    if omega_now is not None and not abs(omega_now) <= 1.0 + params.slack:
+        raise DomainError(f"|omega_now| must be <= 1, got {omega_now}")
     region = region_of(state.r, state.theta, params)
     if region is Region.SHORE:
         # Game over for the classical payoff; the realized separation is theta.

@@ -293,10 +293,14 @@ class TestVerify:
         ("simulate", "--lady", "perturbed:inf"),
         ("simulate", "--lady", "fixed:nan,nan"),
         ("solve", "--r", "0.1", "--theta", "3.141592653589793", "--omega-now", "nan"),
+        pytest.param(("solve", "--r", "0.9", "--theta", "3.0", "--omega-now", "nan"), id="nan_above_barrier"),
+        pytest.param(("solve", "--r", "0.05", "--theta", "2.5", "--omega-now", "7"), id="7_focal_tributary"),
+        pytest.param(("solve", "--r", "0.1", "--theta", "0.2", "--omega-now", "inf"), id="inf_universal_tributary"),
     ], ids=lambda argv: argv[-1])
     def test_non_finite_input_exits_2(self, capsys, argv):
         # constant:nan used to play as constant:-1, and --omega-now nan to print
-        # "omega": NaN, which is not JSON; both exited 0.
+        # "omega": NaN, which is not JSON; both exited 0.  Off the focal line
+        # --omega-now was not read, and any value passed.
         cmd, *rest = argv
         start = ("--r0", "0.2", "--theta0", "1.0") if cmd == "simulate" else ()
         code, out, err = run(capsys, cmd, "--mu", "0.3", *start, *rest)

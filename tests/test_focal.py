@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from ladylake import classical, focal
 from ladylake.model import DomainError, GameParams, PolarState, RegionError
-from ladylake.solution import Region, classify, region_of
+from ladylake.solution import Region, advise, classify, region_of
 
 MU = 0.3
 
@@ -45,6 +45,12 @@ class TestFlControl:
     def test_nan_rate_rejected(self, params):
         with pytest.raises(DomainError):
             focal.fl_control(PolarState(0.15, math.pi), math.nan, params)
+
+    @pytest.mark.parametrize("r, theta, omega_now", [(0.9, 3.0, math.nan), (0.05, 2.5, 7.0), (0.1, 0.2, math.inf)],
+                             ids=["above_barrier", "focal_tributary", "universal_tributary"])
+    def test_bad_rate_rejected_off_the_line(self, params, r, theta, omega_now):
+        with pytest.raises(DomainError):
+            advise(PolarState(r, theta), params, omega_now=omega_now)
 
 
 class TestTimeOnFocalLine:

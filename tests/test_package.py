@@ -128,14 +128,15 @@ def test_every_public_name_has_a_reader():
 
 
 # Runs argv through cli.main in a fresh interpreter (no argv: the import
-# alone) and prints whether numpy and multiprocessing were loaded.
+# alone) and prints whether numpy, multiprocessing and multiprocessing.pool
+# were loaded.
 NUMPY_PROBE = """\
 import contextlib, io, sys
 import ladylake.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert ladylake.cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules, "multiprocessing" in sys.modules)
+print("numpy" in sys.modules, "multiprocessing" in sys.modules, "multiprocessing.pool" in sys.modules)
 """
 
 
@@ -146,16 +147,17 @@ print("numpy" in sys.modules, "multiprocessing" in sys.modules)
     (["flowfield", "--mu", "0.3", "--game", "time", "--samples", "20", "--out", "{tmp}/f.svg"], False),
     (["simulate", "--mu", "0.3", "--r0", "0.2", "--theta0", "1.0", "--out", "{tmp}/run.csv"], False),
     (["solve", "--mu", "0.3", "--r", "0.05", "--theta", "2.5"], True),  # a focal tributary: the scan
+    (["verify", "--mu", "0.3", "--grid", "2"], True),  # the saddle check: deviation reports
 ], ids=["import", "solve_above_barrier", "critical_mu", "flowfield_time", "simulate_eq_eq",
-        "solve_focal_tributary"])
+        "solve_focal_tributary", "verify"])
 def test_only_the_scan_loads_numpy(argv, loads_numpy, tmp_path):
     # numpy costs most of a command's start-up, and only focal.solve_entry's
-    # scan uses it.  multiprocessing is for deviation_report's pool alone, so
-    # no command here loads it.
+    # scan uses it.  multiprocessing is for deviation_report's forked children
+    # alone, so only verify loads it, and no command loads its Pool.
     src = Path(ladylake.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(loads_numpy), "False"]
+    assert proc.stdout.split() == [str(loads_numpy), str(argv[:1] == ["verify"]), "False"]

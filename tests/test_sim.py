@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -5,6 +6,8 @@ import multiprocessing
 import os
 import random
 import threading
+import time
+import tracemalloc
 import types
 
 import pytest
@@ -25,6 +28,12 @@ FORK = "fork" in multiprocessing.get_all_start_methods()
 WORST_11 = (0.5612736039798538, 0.16934813511663976)  # criterion 11's worst start
 SIMULATE = sim.simulate  # unpatched, for the serial reference
 _EQ_LADY, _EQ_MAN = sim.StrategySpec.equilibrium("lady"), sim.StrategySpec.equilibrium("man")
+
+
+def _still_man_fails(initial, lady, man, dt, t_max, params):
+    if man.kind == "constant_omega" and man.value == 0.0:
+        raise DomainError("no run against a man who stands still")
+    return sim.Trajectory(outcome="reached_e", t_final=1.0)
 
 
 def eq_run(state, params, dt=1e-4, t_max=20.0):
@@ -342,6 +351,20 @@ class TestRollout:
         assert traj.outcome == "timeout" and traj.theta_f is None
         assert abs(traj.t[-1] - t_max) <= 1e-12 and traj.t_final == traj.t[-1]
         assert traj.events == [ev for ev in events if ev[0] <= t_max]
+
+    def test_peak_memory_near_what_the_run_keeps(self, params):
+        # States are taken 1,024 records at a time; all of them at once as
+        # 4-tuples peaked at 1.5 times the trajectory.
+        state = PolarState(0.15, 0.25)
+        eq_run(state, params)  # lazy imports and caches off the count
+        tracemalloc.start()
+        try:
+            traj = eq_run(state, params)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.t) > 20_000
+        assert peak <= 1.25 * kept
 
     @pytest.mark.parametrize("name", list(_CLASS_STARTS))
     def test_integrated_equilibrium_follows_the_rollout(self, params, name):
@@ -1156,23 +1179,58 @@ class TestDeviationReport:
         return calls
 
     @pytest.mark.parametrize("start", [(0.2, 1.0), WORST_11], ids=["0.2-1.0", "criterion-11-worst"])
-    def test_pooled_rows_equal_serial_runs(self, params, monkeypatch, parent_calls, start):
+    def test_pooled_rows_equal_serial_runs(self, params, monkeypatch, start):
         expected = self.serial_rows(start)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert sim.deviation_report(PolarState(*start), params, dt=1e-3) == expected
-        assert len(parent_calls) == (0 if FORK else 5)
+        # The caller takes runs beside its child.  Counted against runs of
+        # 0.1 s each, so that the split does not rest on how fast a fork starts.
+        caller_calls = []
 
-    def test_worker_error_reaches_caller(self, params, monkeypatch):
-        def still_man_fails(initial, lady, man, dt, t_max, params):
-            if man.kind == "constant_omega" and man.value == 0.0:
-                raise DomainError("no run against a man who stands still")
+        def slow(initial, lady, man, dt, t_max, params):
+            caller_calls.append((lady, man))
+            time.sleep(0.1)
             return sim.Trajectory(outcome="reached_e", t_final=1.0)
 
-        monkeypatch.setattr(sim, "simulate", still_man_fails)
+        monkeypatch.setattr(sim, "simulate", slow)
+        sim.deviation_report(PolarState(*start), params, dt=1e-3)
+        assert 1 <= len(caller_calls) <= 4 if FORK else len(caller_calls) == 5
+
+    def test_worker_error_reaches_caller(self, params, monkeypatch):
+        monkeypatch.setattr(sim, "simulate", _still_man_fails)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(DomainError, match="^no run against a man who stands still$") as info:
             sim.deviation_report(PolarState(0.2, 1.0), params)
         assert type(info.value) is DomainError
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["rows", "run_raises"])
+    def test_no_child_left(self, params, monkeypatch, raises):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if raises:
+            monkeypatch.setattr(sim, "simulate", _still_man_fails)
+        with pytest.raises(DomainError) if raises else contextlib.nullcontext():
+            sim.deviation_report(PolarState(0.2, 1.0), params)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not FORK, reason="the runs fork no child here")
+    def test_child_that_sends_nothing_is_an_error(self, params, monkeypatch):
+        caller = os.getpid()
+
+        def dies_in_child(initial, lady, man, dt, t_max, params):
+            if os.getpid() != caller:
+                os._exit(3)
+            time.sleep(0.1)  # so that the child takes a run before the caller has taken all
+            return sim.Trajectory(outcome="reached_e", t_final=1.0)
+
+        monkeypatch.setattr(sim, "simulate", dies_in_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            sim.deviation_report(PolarState(0.2, 1.0), params)
+        assert time.monotonic() - began < 5.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("fallback", ["one_cpu", "no_fork", "daemonic", "other_thread"])
     def test_runs_in_process_where_no_fork_helps(self, params, monkeypatch, parent_calls, fallback):
