@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .model import (ControlPair, DomainError, GameParams, PolarState, RegionError, Segment,
@@ -66,10 +67,14 @@ def path_segment(t0: float, r0: float, th0: float, params: GameParams) -> Segmen
     u0, v = math.sqrt(max(0.0, r0 * r0 - mu * mu)), th0 + classical_drift(r0, mu)
     t1 = t0 if r0 >= 1.0 - params.tol_event else t0 + (math.sqrt(1.0 - mu * mu) - u0) / mu
 
-    def state(t: float):
-        r = r0 if t <= t0 else 1.0 if t >= t1 else math.hypot(mu, u0 + mu * (t - t0))
-        th = th0 if t <= t0 else v - classical_drift(r, mu)
-        return (r, th, *classical_heading_at(r, mu))
+    def state(ts: list[float]):
+        j = bisect_right(ts, t0)  # ts[:j] are clamped to t0, ts[i:] to t1
+        i = max(j, bisect_left(ts, t1))
+        rs = [math.hypot(mu, u0 + mu * (t - t0)) for t in ts[j:i]] + [1.0] * (len(ts) - i)
+        ths = [th0] * j + [v - classical_drift(r, mu) for r in rs]
+        rs[:0] = [r0] * j
+        ss = [mu / r for r in rs]  # classical_heading_at's, column by column
+        return rs, ths, [math.sqrt(max(0.0, 1.0 - s * s)) for s in ss], ss
 
     return Segment("classical", t0, t1, state, lambda t: 1.0)
 

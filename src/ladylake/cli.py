@@ -154,7 +154,8 @@ def _classical_trajectory(theta0: float, params: GameParams, n: int) -> list[tup
     """n samples of classical.path_segment from (mu, theta0), evenly spaced
     in time; the last one is exactly on the shore."""
     seg = classical.path_segment(0.0, params.mu, theta0, params)
-    return [seg.state(seg.t1 * (k / (n - 1)))[:2] for k in range(n)]
+    rs, ths, _, _ = seg.state([seg.t1 * (k / (n - 1)) for k in range(n)])
+    return list(zip(rs, ths))
 
 
 def _below_barrier(samples, params: GameParams) -> list[tuple[float, float]]:

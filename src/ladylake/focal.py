@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,13 +95,24 @@ def line_segment(
     phi0, phi1 = math.asin(min(1.0, w * r0 / mu)), math.asin(w)
     t1 = t0 if mu - r0 <= params.tol_event else t0 + ((phi1 - phi0) / w if w else (mu - r0) / mu)
 
-    def state(t: float):
-        if w and t0 < t < t1:
-            phi = phi1 - w * (t1 - t)
-            sin_phi = math.sin(phi)
-            return mu / w * sin_phi, th0, math.cos(phi), math.copysign(sin_phi, omega(t))
-        r = r0 if t <= t0 else mu if t >= t1 else r0 + mu * (t - t0)
-        return (r, th0, *fl_heading_at(r, omega(t), mu))
+    def on_r(rs: list[float], part: list[float]):
+        """rs with the headings fl_heading_at gives there."""
+        heads = [fl_heading_at(r, om, mu) for r, om in zip(rs, map(omega, part))]
+        return rs, [c for c, _ in heads], [s for _, s in heads]
+
+    def state(ts: list[float]):
+        j = bisect_right(ts, t0)  # ts[:j] are clamped to t0, ts[i:] to t1
+        i, n = max(j, bisect_left(ts, t1)), len(ts)
+        mid = ts[j:i]
+        if w:
+            phis = [phi1 - w * (t1 - t) for t in mid]
+            sins = list(map(math.sin, phis))
+            body = ([mu / w * x for x in sins], list(map(math.cos, phis)),
+                    list(map(math.copysign, sins, map(omega, mid))))
+        else:
+            body = on_r([r0 + mu * (t - t0) for t in mid], mid)
+        rs, cs, ss = (h + b + e for h, b, e in zip(on_r([r0] * j, ts[:j]), body, on_r([mu] * (n - i), ts[i:])))
+        return rs, [th0] * n, cs, ss
 
     return Segment("focal_line", t0, t1, state, omega)
 
@@ -162,14 +174,16 @@ def tributary_segment(
     d0 = -leg_r if case is EntryCase.ONE else leg_r
     t1, phi0 = t0 + (leg_s - d0) / mu, math.atan2(d0, a)
 
-    def state(t: float):
-        if t <= t0:
-            return r0, th0, d0 / r0, a / r0
-        if t >= t1:
-            return s, math.pi, leg_s / s, a / s
-        d = d0 + mu * (t - t0)
-        r = math.hypot(a, d)
-        return r, th0 - (t - t0) + math.atan2(d, a) - phi0, d / r, a / r
+    def state(ts: list[float]):
+        j = bisect_right(ts, t0)  # ts[:j] are clamped to t0, ts[i:] to t1
+        i, n = max(j, bisect_left(ts, t1)), len(ts)
+        mid = ts[j:i]
+        ds = [d0 + mu * (t - t0) for t in mid]
+        rs = [math.hypot(a, d) for d in ds]
+        ths = [th0 - (t - t0) + math.atan2(d, a) - phi0 for t, d in zip(mid, ds)]
+        return ([r0] * j + rs + [s] * (n - i), [th0] * j + ths + [math.pi] * (n - i),
+                [d0 / r0] * j + [d / r for d, r in zip(ds, rs)] + [leg_s / s] * (n - i),
+                [a / r0] * j + [a / r for r in rs] + [a / s] * (n - i))
 
     t_tangency = t0 - d0 / mu if case is EntryCase.ONE else None
     return Segment("focal_tributary", t0, t1, state, lambda t: 1.0), t_tangency

@@ -105,14 +105,15 @@ class ControlPair:
 
 @dataclass(frozen=True)
 class Segment:
-    """One closed-form piece of a path, t0 <= t <= t1: state(t) gives L's
-    canonical (r, theta, cos_psi, sin_psi) and omega(t) M's canonical rate,
-    both exact at the two ends."""
+    """One closed-form piece of a path, t0 <= t <= t1: state(ts) samples L's
+    canonical r, theta, cos_psi and sin_psi at a list of ascending times, one
+    list each, and omega(t) gives M's canonical rate; both are exact at the
+    two ends."""
 
     kind: str
     t0: float
     t1: float
-    state: Callable[[float], tuple[float, float, float, float]]
+    state: Callable[[list[float]], tuple[list[float], list[float], list[float], list[float]]]
     omega: Callable[[float], float]
 
 

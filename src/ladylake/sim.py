@@ -220,18 +220,18 @@ class _Lady:
 
 
 # Dormand–Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5):
-# each stage's node and row; the last row is the fifth-order weights, so the
-# last stage is the rate at the step's end, the next step's first (FSAL).
-_DP_STAGES = (
-    (1 / 5, (1 / 5,)),
-    (3 / 10, (3 / 40, 9 / 40)),
-    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
-    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
-    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
-)
-# The fifth-order weights less the fourth-order ones: the local error estimate.
-_DP_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# nodes C, tableau rows A and fifth-order weights B, which are the seventh
+# row, so the last stage is the rate at the step's end, the next step's first
+# (FSAL); E is B less the fourth-order weights, the local error estimate.
+# Their zero entries (B2, B7, E2) are left out; C6 = C7 = 1.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 # Per stage, the coefficients of x, x^2, x^3, x^4 in its weight at x = (t -
 # t0)/h in the order-4 interpolant; each row sums to its fifth-order weight.
 _DP_DENSE = (
@@ -258,35 +258,47 @@ def _dp45(deriv, t: float, y: tuple[float, float, float], h: float, k1):
     tangential displacement (r times the error in theta, r up to 1) and the
     error in the man's angle.  Near the centre theta changes fast and means
     little, so an absolute theta error would cost steps and buy nothing.
+    Every weighted sum is taken left to right, stage by stage.
     """
     r, th, al = y
-    ks = [k1]
-    for c, row in _DP_STAGES:
-        dr = dth = 0.0
-        for a, k in zip(row, ks):
-            dr += a * k[0]
-            dth += a * k[1]
-        ks.append(deriv(t + c * h, r + h * dr, th + h * dth))
-    dal = er = eth = eal = 0.0
-    for b, e, k in zip(_DP_STAGES[-1][1] + (0.0,), _DP_ERROR, ks):
-        dal += b * k[2]
-        er += e * k[0]
-        eth += e * k[1]
-        eal += e * k[2]
-    err = h * max(abs(er), min(1.0, max(abs(r), abs(r + h * dr))) * abs(eth), abs(eal))
-    return (r + h * dr, th + h * dth, al + h * dal), ks, err
+    r1, th1 = k1[0], k1[1]
+    k2 = deriv(t + _C2 * h, r + h * (_A21 * r1), th + h * (_A21 * th1))
+    r2, th2 = k2[0], k2[1]
+    k3 = deriv(t + _C3 * h, r + h * (_A31 * r1 + _A32 * r2), th + h * (_A31 * th1 + _A32 * th2))
+    r3, th3 = k3[0], k3[1]
+    k4 = deriv(t + _C4 * h, r + h * (_A41 * r1 + _A42 * r2 + _A43 * r3),
+               th + h * (_A41 * th1 + _A42 * th2 + _A43 * th3))
+    r4, th4 = k4[0], k4[1]
+    k5 = deriv(t + _C5 * h, r + h * (_A51 * r1 + _A52 * r2 + _A53 * r3 + _A54 * r4),
+               th + h * (_A51 * th1 + _A52 * th2 + _A53 * th3 + _A54 * th4))
+    r5, th5 = k5[0], k5[1]
+    k6 = deriv(t + h, r + h * (_A61 * r1 + _A62 * r2 + _A63 * r3 + _A64 * r4 + _A65 * r5),
+               th + h * (_A61 * th1 + _A62 * th2 + _A63 * th3 + _A64 * th4 + _A65 * th5))
+    r6, th6 = k6[0], k6[1]
+    dr = _B1 * r1 + _B3 * r3 + _B4 * r4 + _B5 * r5 + _B6 * r6
+    dth = _B1 * th1 + _B3 * th3 + _B4 * th4 + _B5 * th5 + _B6 * th6
+    dal = _B1 * k1[2] + _B3 * k3[2] + _B4 * k4[2] + _B5 * k5[2] + _B6 * k6[2]
+    y1 = (r + h * dr, th + h * dth, al + h * dal)
+    k7 = deriv(t + h, y1[0], y1[1])
+    er = _E1 * r1 + _E3 * r3 + _E4 * r4 + _E5 * r5 + _E6 * r6 + _E7 * k7[0]
+    eth = _E1 * th1 + _E3 * th3 + _E4 * th4 + _E5 * th5 + _E6 * th6 + _E7 * k7[1]
+    eal = _E1 * k1[2] + _E3 * k3[2] + _E4 * k4[2] + _E5 * k5[2] + _E6 * k6[2] + _E7 * k7[2]
+    err = h * max(abs(er), min(1.0, max(abs(r), abs(y1[0]))) * abs(eth), abs(eal))
+    return y1, (k1, k2, k3, k4, k5, k6, k7), err
 
 
 def _dense(t: float, y: tuple[float, float, float], h: float, ks):
     """The interpolant of the step of _dp45 from (t, y) over h: a function
-    from a time in [t, t + h] to (r, theta, alpha)."""
+    from a time in [t, t + h] to (r, theta, alpha).  Its coefficients are
+    computed at its first call, since most steps' interpolants are never read."""
     (r, th, al), q = y, []
-    for i in range(3):
-        rates = [h * k[i] for k in ks]
-        q.append([sum(map(operator.mul, column, rates)) for column in _DP_DENSE_COLUMNS])
-    (r0, r1, r2, r3), (t0_, t1_, t2_, t3_), (a0, a1, a2, a3) = q
 
     def at(tt: float) -> tuple[float, float, float]:
+        if not q:
+            for i in range(3):
+                rates = [h * k[i] for k in ks]
+                q.extend(sum(map(operator.mul, column, rates)) for column in _DP_DENSE_COLUMNS)
+        r0, r1, r2, r3, t0_, t1_, t2_, t3_, a0, a1, a2, a3 = q
         x = (tt - t) / h
         return (r + x * (r0 + x * (r1 + x * (r2 + x * r3))),
                 th + x * (t0_ + x * (t1_ + x * (t2_ + x * t3_))),
@@ -352,6 +364,13 @@ def simulate(
     the step by focal.entry_track), tangency (case One loses its root), the
     loss of case Two's root, the end of a slide along theta = 0 or pi, and
     barrier_crossing (she enters or leaves the classical game's side).
+
+    The equilibrium man stands still within tol_event of theta = 0, so to
+    every lady the edge of that band is theta = 0 itself.  She enters the line
+    there (ul_entry) unless her field points through it, and slides along it,
+    theta held and the man still, while her field points into it from both
+    sides; a fixed heading with |mu sin psi / r| <= 1 thus reaches the shore
+    along theta = 0, with theta_f = 0.
     """
     if params is None:
         raise DomainError("params is required")
@@ -373,12 +392,12 @@ def simulate(
     man_eq = man.kind == "equilibrium"
     period = man.period if man.kind == "switching_omega" else None
     # The equilibrium man stands still within tol_event of theta = 0, so a
-    # snapping lady who reaches that band has reached the universal line.
-    band = tol if man_eq and snap_to_fl else 0.0
+    # lady who reaches that band has reached the universal line.
+    band = tol if man_eq else 0.0
 
     r, th, alpha, sign = initial.r, initial.theta, 0.0, 1.0
     traj = Trajectory()
-    om_step = None  # M's canonical rate over the step, or None for the equilibrium man's
+    om_step = None  # M's canonical rate over the step
     line = None  # the line (0.0 or pi) she slides along, theta held, or None
     pinned = False  # at the centre with her heading into it: r and theta held
     side = False  # whether the step is on the classical side of the barrier
@@ -393,7 +412,7 @@ def simulate(
         (cos_psi, sin_psi, omega) and the lady's (region, entry) there."""
         nonlocal evaluations
         evaluations += 1
-        om = om_step if om_step is not None else (0.0 if thh <= tol else 1.0)
+        om = om_step
         if fixed_heading is not None:
             c, s_, last = fixed_heading[0], sign * fixed_heading[1], None
         else:
@@ -445,7 +464,7 @@ def simulate(
                                       (ts, als, [int(sign < 0.0)] * len(ts), oms)):
                 column.extend(values)
             for i in range(0, len(ts), 1024):  # 1,024 states at a time, to bound the peak
-                rs, ths, cs, ss = zip(*map(seg.state, ts[i:i + 1024]))
+                rs, ths, cs, ss = seg.state(ts[i:i + 1024])
                 ss = ss if sign > 0.0 else [-s_ for s_ in ss]
                 for column, values in zip((traj.r, traj.theta, traj.cos_psi, traj.sin_psi), (rs, ths, cs, ss)):
                     column.extend(values)
@@ -454,17 +473,18 @@ def simulate(
 
     def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:
         """theta' on the line thh (0 or pi) in this frame and in the mirrored
-        one, where M's canonical rate changes sign and her heading does not.
-        Next to a snapping lady the equilibrium man runs at 1 (he stands
-        still only within tol_event of theta = 0), so she slides along
-        theta = 0 while that rate holds her there."""
+        one, where M's canonical rate changes sign but the equilibrium man's,
+        and her canonical heading only if it is fixed.  Next to the line the
+        equilibrium man runs at 1 (he stands still only within tol_event of
+        theta = 0), so she slides along theta = 0 while that rate holds her
+        there."""
         if fixed_heading is not None:
             c, s_ = fixed_heading[0], sign * fixed_heading[1]
         else:
             c, s_ = lady_s(rr, thh, tt)
-        om = 1.0 if man_eq and snap_to_fl else om_step if om_step is not None else man_rate(tt, rr, thh)
+        om = 1.0 if man_eq else om_step
         base = mu / max(rr, slack) * s_
-        return base - om, base - om if man_eq else base + om
+        return base - om, (-base if fixed_heading else base) - (om if man_eq else -om)
 
     def held(tt: float, rr: float) -> bool:
         """Whether she stays on the line she slides along, or at the centre."""
@@ -474,10 +494,10 @@ def simulate(
         return here >= 0.0 if line == _PI else max(here, mirrored) <= 0.0
 
     def slides(tt: float, rr: float) -> bool:
-        """Whether a snapping lady who crosses theta = 0 enters the line
-        rather than mirror the frame: the equilibrium man stands still there,
-        or theta' <= 0 in the mirrored frame too."""
-        return man_eq or line_rates(tt, rr, 0.0)[1] <= 0.0
+        """Whether a lady who crosses theta = 0 enters the line rather than
+        mirror the frame: theta' <= 0 in the mirrored frame too, or she snaps
+        and the equilibrium man stands still there."""
+        return man_eq and snap_to_fl or line_rates(tt, rr, 0.0)[1] <= 0.0
 
     def at_e(rr: float, thh: float) -> bool:
         return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
@@ -579,7 +599,7 @@ def simulate(
                 line, pinned, side = None, False, classical_side(r, th)
                 if th in (0.0, _PI) and end is None:
                     here, mirrored = line_rates(t, r, th)
-                    if snap_to_fl and (max(here, mirrored) <= 0.0 if th == 0.0 else here >= 0.0):
+                    if max(here, mirrored) <= 0.0 if th == 0.0 else snap_to_fl and here >= 0.0:
                         line = th
                     elif here < 0.0 if th == 0.0 else here > 0.0:
                         sign = -sign
@@ -671,11 +691,12 @@ def simulate(
                 lady_s.reset()
                 traj.events.append((t, kind))
             elif kind in ("ul_cross", "fl_cross"):
-                # theta = 0 or pi crossed: a snapping lady enters the singular
-                # line (the focal line only up to E), else the frame is mirrored;
-                # at a switch, theta = 0 is left to the new step sequence and his new rate.
+                # theta = 0 or pi crossed: she enters the singular line (the
+                # focal line only if she snaps, and only up to E), else the frame
+                # is mirrored; at a switch, theta = 0 is left to the new step
+                # sequence and his new rate.
                 lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
-                if lands_on_fl or (snap_to_fl and kind == "ul_cross" and slides(t, r)):
+                if lands_on_fl or (kind == "ul_cross" and slides(t, r)):
                     r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
                     traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
                 elif kind == "fl_cross" or t < t_switch:

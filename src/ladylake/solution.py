@@ -179,6 +179,6 @@ def rollout(
         else:
             seg = universal.path_segment(t, r, th, kind == "universal_line", params)
         segments.append(seg)
-        t, (r, th, _, _) = seg.t1, seg.state(seg.t1)
+        t, ((r,), (th,), _, _) = seg.t1, seg.state([seg.t1])
         events.append((t, _END[kind]))
     return tuple(segments), tuple(events)

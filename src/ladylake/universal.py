@@ -8,6 +8,7 @@ i.e. theta <= r/mu.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import ControlPair, DomainError, GameParams, PolarState, RegionError, Segment
@@ -61,12 +62,12 @@ def path_segment(t0: float, r0: float, th0: float, on_line: bool, params: GamePa
     mu, om = params.mu, 0.0 if on_line else 1.0
     t1 = t0 + (r0 / mu if on_line else th0)
 
-    def state(t: float):
-        tau = min(t, t1) - t0
-        r, th = r0 - mu * tau, th0 - om * tau
-        if t >= t1:
-            r, th = (0.0, th) if on_line else (r, 0.0)
-        return r, th, -1.0, 0.0
+    def state(ts: list[float]):
+        n, i = len(ts), bisect_left(ts, t1)  # ts[i:] are clamped to t1
+        taus = [t - t0 for t in ts[:i]]
+        rs = [r0 - mu * tau for tau in taus] + [0.0 if on_line else r0 - mu * (t1 - t0)] * (n - i)
+        ths = [th0] * n if on_line else [th0 - tau for tau in taus] + [0.0] * (n - i)
+        return rs, ths, [-1.0] * n, [0.0] * n
 
     kind = "universal_line" if on_line else "universal_tributary"
     return Segment(kind, t0, t1, state, lambda t: om)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,20 @@ class TestSimulate:
         tags = [el.tag.split("}")[-1] for el in root.iter()]
         assert tags.count("polyline") == 2  # lady and man paths
         assert tags.count("circle") == 3  # lake rim plus two start markers
+
+    def test_fixed_heading_against_the_equilibrium_man_exits(self, tmp_path):
+        # This run once stepped without end at the equilibrium man's band next
+        # to theta = 0; a fresh process bounds the wait.
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["simulate", "--mu", "0.3", "--r0", "0.5", "--theta0", "0.05",
+                "--lady", "fixed:0.6,0.8", "--man", "eq", "--out", str(tmp_path / "run.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ladylake.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        events = [ln for ln in (tmp_path / "run.csv").read_text().splitlines() if ln.startswith("# event,")]
+        assert [ln.rsplit(",", 1)[1] for ln in events] == ["ul_entry", "shore_exit"]
 
     def test_strategy_parsing(self):
         spec = cli.parse_strategy("man", "constant:0.5")

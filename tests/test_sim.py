@@ -11,6 +11,7 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladylake import classical, focal, sim, solution
 from ladylake.model import DomainError, GameParams, PolarState, RegionError, rates, to_cartesian
@@ -226,16 +227,18 @@ class TestFocalLineClosedForm:
          ((0.15, math.pi), "constant_0.8"), ((0.15, math.pi), "switching_0.2")],
     )
     def test_one_state_call_per_record(self, params, monkeypatch, start, man):
-        # Records are taken column by column: one state call each, and the
-        # man's rate once a segment unless he switches.  Equilibrium play
-        # follows the rollout; a deviating man's run from the line follows
-        # one focal-line segment.
-        calls = {"state": 0, "omega": 0}
+        # Records are taken column by column: each record is sampled by one
+        # state call, which takes a segment's grid 1,024 records at a time,
+        # and the man's rate is read once a segment unless he switches.
+        # Equilibrium play follows the rollout; a deviating man's run from
+        # the line follows one focal-line segment.
+        calls = {"omega": 0}
+        chunks = {}  # per segment kind, the length of each grid sampled
 
         def counted(seg):
-            def state(t):
-                calls["state"] += 1
-                return seg.state(t)
+            def state(ts):
+                chunks.setdefault(seg.kind, []).append(len(ts))
+                return seg.state(ts)
 
             def omega(t):
                 calls["omega"] += 1
@@ -256,7 +259,9 @@ class TestFocalLineClosedForm:
         spec = self.MEN[man][0]
         traj = sim.simulate(PolarState(*start), _EQ_LADY, spec, dt=1e-4, params=params)
         assert traj.outcome == "reached_e" and len(traj.t) > 1000
-        assert calls["state"] == len(traj.t)
+        assert sum(map(sum, chunks.values())) == len(traj.t)
+        for sizes in chunks.values():  # each grid in full chunks but the last
+            assert all(n == 1024 for n in sizes[:-1]) and 0 < sizes[-1] <= 1024
         assert calls["omega"] == (len(traj.t) if spec.period else n_segments)
 
 
@@ -327,7 +332,7 @@ class TestRollout:
         assert abs(traj.t_final - events[-1][0]) <= 1e-12
         for t, r, theta in zip(traj.t, traj.r, traj.theta):
             seg = next(sg for sg in reversed(segments) if sg.t0 <= t)
-            assert seg.state(t)[:2] == (r, theta)
+            assert [col[0] for col in seg.state([t])[:2]] == [r, theta]
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("name", list(_CLASS_STARTS))
@@ -720,6 +725,41 @@ class TestNonEquilibriumLady:
         )
         assert traj.outcome == "reached_shore"
 
+    def test_fixed_heading_slides_along_the_universal_line(self, params):
+        # The equilibrium man stands still within tol_event of theta = 0, so
+        # theta' = 0.24/r > 0 inside that band and 0.24/r - 1 < 0 above it,
+        # with r = 0.5 + 0.18 t.  The band's edge is a located step end: she
+        # enters theta = 0 there and slides along it, theta held and the man
+        # still, to the shore with theta_f = 0.  Unlocated, the steps chattered
+        # across the edge: over 100k of them by t = 0.095.
+        lady = sim.StrategySpec.fixed_heading(0.6, 0.8)
+        traj = sim.simulate(PolarState(0.5, 0.05), lady, _EQ_MAN, dt=1e-3, t_max=1.0, params=params)
+        assert traj.steps < 1000 and traj.outcome == "timeout"
+        [(t_in, kind)] = traj.events
+        assert kind == "ul_entry"
+        r_in = 0.5 + 0.18 * t_in
+        assert abs(0.05 + 0.24 / 0.18 * math.log(r_in / 0.5) - t_in - params.tol_event) <= 1e-9
+        after = [k for k, t in enumerate(traj.t) if t > t_in]
+        assert len(after) >= 900
+        assert all(traj.theta[k] == 0.0 and traj.omega[k] == 0.0 for k in after)
+        assert traj.r[-1] == pytest.approx(0.68, abs=1e-12)
+        whole = sim.simulate(PolarState(0.5, 0.05), lady, _EQ_MAN, dt=1e-3, t_max=20.0, params=params)
+        assert [k for _, k in whole.events] == ["ul_entry", "shore_exit"]
+        assert whole.outcome == "reached_shore" and whole.theta_f == 0.0
+        assert whole.t_final == pytest.approx(t_in + (1.0 - r_in) / 0.18, abs=1e-8)
+
+    def test_fixed_heading_through_the_band_is_reflected(self, params):
+        # From r = 0.1 the heading's mu sin psi / r = -2.4 points through
+        # theta = 0 from both sides, so at the band's edge she is mirrored;
+        # once r > 0.24 it no longer does, and she comes back to slide along
+        # theta = 0 to the shore, reached at r = 0.1 + 0.18 t = 1.
+        lady = sim.StrategySpec.fixed_heading(0.6, -0.8)
+        traj = sim.simulate(PolarState(0.1, 0.05), lady, _EQ_MAN, dt=1e-3, params=params)
+        assert traj.steps < 1000
+        assert [k for _, k in traj.events] == ["reflection", "ul_entry", "shore_exit"]
+        assert traj.outcome == "reached_shore" and traj.theta_f == 0.0
+        assert traj.t_final == pytest.approx(5.0, abs=1e-8)
+
     def test_perturbed_lady_keeps_case_past_tangency(self, params):
         # The lady keeps case Two after the tangency flip; one that re-picks
         # the case from the state chatters on the tangency circle and times
@@ -1002,7 +1042,7 @@ class TestIntegrator:
         tributary = sim.rollout(state, params)[0][0]
         traj = sim.simulate(state, _EQ_LADY, sim.StrategySpec.switching_omega(0.2), dt=1e-3, params=params)
         k = next(i for i, t in enumerate(traj.t) if abs(t - 0.2) <= 1e-12)
-        r, theta = tributary.state(traj.t[k])[:2]
+        (r,), (theta,), _, _ = tributary.state([traj.t[k]])
         assert abs(traj.theta[k] - theta) <= 1e-9
         assert abs(traj.r[k] - r) <= 1e-9
 
@@ -1064,6 +1104,110 @@ class TestIntegrator:
         assert 0 < traj.steps <= 2199 // 4
         assert traj.evaluations >= 6 * traj.steps
         assert sim.Trajectory(outcome="timeout", t_final=1.0).steps == 0
+
+
+# Dormand–Prince 5(4) as a tableau loop, the oracle of sim._dp45's flat step:
+# each stage's node and row; the last row is the fifth-order weights, so the
+# last stage is the rate at the step's end.
+_DP_STAGES = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+# The fifth-order weights less the fourth-order ones: the local error estimate.
+_DP_ERROR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def dp45_loop(deriv, t, y, h, k1):
+    r, th, al = y
+    ks = [k1]
+    for c, row in _DP_STAGES:
+        dr = dth = 0.0
+        for a, k in zip(row, ks):
+            dr += a * k[0]
+            dth += a * k[1]
+        ks.append(deriv(t + c * h, r + h * dr, th + h * dth))
+    dal = er = eth = eal = 0.0
+    for b, e, k in zip(_DP_STAGES[-1][1] + (0.0,), _DP_ERROR, ks):
+        dal += b * k[2]
+        er += e * k[0]
+        eth += e * k[1]
+        eal += e * k[2]
+    err = h * max(abs(er), min(1.0, max(abs(r), abs(r + h * dr))) * abs(eth), abs(eal))
+    return (r + h * dr, th + h * dth, al + h * dal), ks, err
+
+
+def dense_eager(t, y, h, ks):
+    """The interpolant with its coefficients taken when it is built."""
+    (r, th, al), q = y, []
+    for i in range(3):
+        q.append([sum(d * (h * k[i]) for d, k in zip(column, ks)) for column in zip(*sim._DP_DENSE)])
+    (r0, r1, r2, r3), (t0_, t1_, t2_, t3_), (a0, a1, a2, a3) = q
+
+    def at(tt):
+        x = (tt - t) / h
+        return (r + x * (r0 + x * (r1 + x * (r2 + x * r3))),
+                th + x * (t0_ + x * (t1_ + x * (t2_ + x * t3_))),
+                al + x * (a0 + x * (a1 + x * (a2 + x * a3))))
+
+    return at
+
+
+class TestFlatStep:
+    """sim._dp45 is the tableau loop unrolled, every sum in the loop's order,
+    and sim._dense builds its coefficients at its first read: both must give
+    the loop's and the eager interpolant's floats, compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 10.0), y=st.tuples(st.floats(-1.0, 1.0), st.floats(-4.0, 4.0), st.floats(-9.0, 9.0)),
+           h=st.floats(1e-9, 1.0), c=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+           x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_any_field(self, t, y, h, c, x):
+        def deriv(tt, r, th):
+            return c[0] * math.sin(th) + c[1] * r, c[2] * math.cos(r) - c[3] * tt, r * th - c[0], "extra"
+
+        k1 = deriv(t, y[0], y[1])
+        y1, ks, err = sim._dp45(deriv, t, y, h, k1)
+        assert (y1, list(ks), err) == dp45_loop(deriv, t, y, h, k1)
+        at, eager = sim._dense(t, y, h, ks), dense_eager(t, y, h, ks)
+        for tt in [t + xx * h for xx in x] * 2:  # a second read reuses the coefficients
+            assert at(tt) == eager(tt)
+
+    @pytest.mark.parametrize("start,lady,man", [
+        ((0.2, 1.0), sim.StrategySpec.perturbed(-0.05), _EQ_MAN),
+        (WORST_11, _EQ_LADY, sim.StrategySpec.switching_omega(0.2)),
+        ((0.15, 0.3), sim.StrategySpec.perturbed(0.05), _EQ_MAN),
+        ((0.1, 0.05), sim.StrategySpec.fixed_heading(0.6, -0.8), sim.StrategySpec.switching_omega(0.3)),
+    ], ids=["tangency-root-loss", "switches", "slide-origin", "mirrored"])
+    def test_every_step_of_a_run(self, params, monkeypatch, start, lady, man):
+        # Each step of the run is taken both ways and each interpolant read is
+        # checked against the eager one; the stages carry the lady's entries.
+        flat, lazy, counts = sim._dp45, sim._dense, {"steps": 0, "reads": 0}
+
+        def checked_step(deriv, t, y, h, k1):
+            want = dp45_loop(deriv, t, y, h, k1)
+            y1, ks, err = got = flat(deriv, t, y, h, k1)
+            assert (y1, list(ks), err) == want
+            counts["steps"] += 1
+            return got
+
+        def checked_dense(t, y, h, ks):
+            at, eager = lazy(t, y, h, ks), dense_eager(t, y, h, ks)
+
+            def read(tt):
+                counts["reads"] += 1
+                assert at(tt) == eager(tt)
+                return at(tt)
+
+            return read
+
+        monkeypatch.setattr(sim, "_dp45", checked_step)
+        monkeypatch.setattr(sim, "_dense", checked_dense)
+        traj = sim.simulate(PolarState(*start), lady, man, dt=1e-2, t_max=3.0, params=params)
+        assert counts["steps"] >= traj.steps + traj.rejected > 10 and counts["reads"] > 10
 
 
 class TestDeviationReport:
