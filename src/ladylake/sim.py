@@ -9,8 +9,10 @@ barrier crossings) are located on the steps' interpolants.  Records are
 taken from the interpolants, so the time grid spaces them and changes
 nothing else.  A lady who plays the focal-line control follows its closed
 form once on theta = pi.  The integrated state is kept in the canonical
-half-plane; crossings of theta = 0 or pi either snap onto the singular line
-or mirror the frame.
+half-plane, theta in [0, pi]: a crossing of theta = 0 or pi either snaps
+onto the singular line or mirrors the frame (theta seen as -theta), and a
+passage through the centre lands on the opposite ray, at pi - theta in the
+mirrored frame (unmirrored if that is theta = pi).
 """
 from __future__ import annotations
 
@@ -91,11 +93,12 @@ class StrategySpec:
 class Trajectory:
     """Recorded closed-loop run.
 
-    Controls are in the true (unmirrored) frame; theta is canonical.
-    outcome is 'reached_e', 'reached_shore', or 'timeout'.  steps and
-    rejected count the integrator's accepted and rejected steps, and
-    evaluations its strategy evaluations, records included; a run played in
-    closed form has none of them.
+    theta is canonical, and mirror is 1 where the frame was mirrored at the
+    record, so that her angle from M's radius is -theta there; controls are
+    in the true (unmirrored) frame.  outcome is 'reached_e', 'reached_shore',
+    or 'timeout'.  steps and rejected count the integrator's accepted and
+    rejected steps, and evaluations its strategy evaluations, records
+    included; a run played in closed form has none of them.
     """
 
     t: list[float] = field(default_factory=list)
@@ -365,6 +368,12 @@ def simulate(
     loss of case Two's root, the end of a slide along theta = 0 or pi, and
     barrier_crossing (she enters or leaves the classical game's side).
 
+    A snapping lady enters the focal line where theta crosses pi or where r
+    meets her case-Two entry radius, whichever is located first, and is put
+    on theta = pi at her r (at most mu).  By the radius rule she may still be
+    short of the line: all seven delta_psi = -0.05 runs of TestRunSet enter
+    so, and the put moves each of them by about 2.0e-5.
+
     The equilibrium man stands still within tol_event of theta = 0, so to
     every lady the edge of that band is theta = 0 itself.  She enters the line
     there (ul_entry) unless her field points through it, and slides along it,
@@ -597,11 +606,14 @@ def simulate(
                 t_rate = t_switch - 0.5 * period if period else t
                 om_step = None if man_eq else omega(t_rate, r, th)
                 line, pinned, side = None, False, classical_side(r, th)
-                if th in (0.0, _PI) and end is None:
+                if th in (0.0, _PI):
+                    # On theta = 0 or pi she slides along it, leaves it, or the
+                    # frame is mirrored; at the run's end a slide still sets his
+                    # last rate, and nothing is mirrored.
                     here, mirrored = line_rates(t, r, th)
                     if max(here, mirrored) <= 0.0 if th == 0.0 else snap_to_fl and here >= 0.0:
                         line = th
-                    elif here < 0.0 if th == 0.0 else here > 0.0:
+                    elif end is None and (here < 0.0 if th == 0.0 else here > 0.0):
                         sign = -sign
                         om_step = None if man_eq else omega(t_rate, r, th)
                         traj.events.append((t, "reflection"))

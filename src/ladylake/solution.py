@@ -52,7 +52,8 @@ def region_of(r: float, theta: float, params: GameParams) -> Region:
     """Region label of the canonical state (r, theta).
 
     The one home of the region dispatch: classify() wraps it, and the
-    simulator calls it at every RK4 stage, so it takes plain floats.
+    simulator's lady calls it at every stage and record of a deviating run,
+    so it takes plain floats.
     """
     mu = params.mu
     if r >= 1.0 - params.tol_event:

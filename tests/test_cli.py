@@ -162,7 +162,8 @@ class TestSimulate:
 
 
 def mirrored_run():
-    # A deviating lady against a switching man: RK4 records, mirrored ones included.
+    # A deviating lady against a switching man: records of the integrated run,
+    # mirrored ones included.
     traj = simulate(PolarState(0.1, 0.05), cli.parse_strategy("lady", "fixed:0.6,-0.8"),
                     cli.parse_strategy("man", "switching:0.3"), dt=1e-3, t_max=1.0,
                     params=GameParams(0.4))

@@ -748,6 +748,18 @@ class TestNonEquilibriumLady:
         assert whole.outcome == "reached_shore" and whole.theta_f == 0.0
         assert whole.t_final == pytest.approx(t_in + (1.0 - r_in) / 0.18, abs=1e-8)
 
+    def test_still_man_on_the_shore_record_of_a_slide(self, params):
+        # The slide along theta = 0 reaches the shore; the step sequence opened
+        # there reads the line too, so the last record has the man still, as
+        # every record of the slide before it.
+        lady = sim.StrategySpec.fixed_heading(0.6, 0.8)
+        traj = sim.simulate(PolarState(0.5, 0.05), lady, _EQ_MAN, dt=0.05, params=params)
+        assert [k for _, k in traj.events] == ["ul_entry", "shore_exit"]
+        t_in = traj.events[0][0]
+        slide = [om for t, om in zip(traj.t, traj.omega) if t >= t_in]
+        assert len(slide) > 30 and traj.t[-1] == traj.t_final
+        assert set(slide) == {0.0}
+
     def test_fixed_heading_through_the_band_is_reflected(self, params):
         # From r = 0.1 the heading's mu sin psi / r = -2.4 points through
         # theta = 0 from both sides, so at the band's edge she is mirrored;
@@ -808,7 +820,8 @@ class TestNonEquilibriumLady:
     def test_passage_through_the_centre_lands_on_the_opposite_ray(self, params):
         # Heading straight in from (0.2, 1) against a still man, she passes
         # the centre onto the ray at angle 1 + pi, seen in the mirrored frame;
-        # her heading points back at the centre, so she keeps crossing it.
+        # her heading points back at the centre from there, so she is held
+        # at it.
         traj = sim.simulate(
             PolarState(0.2, 1.0),
             sim.StrategySpec.fixed_heading(-1.0, 0.0),
@@ -912,6 +925,16 @@ class TestRunSet:
         for lady, man in _RUN_SET_PAIRS:
             traj = sim.simulate(PolarState(*start), lady, man, dt=1e-3, t_max=20.0, params=params)
             got.append(f"{traj.outcome}: " + " ".join(k for _, k in traj.events))
+            # The recorded path is continuous: she swims at mu and he runs at
+            # most at 1, but where a delta_psi = -0.05 lady enters the focal
+            # line short of theta = pi and is put on it.
+            put = {t for t, k in traj.events if k == "fl_entry"} if lady.delta_psi == -0.05 else set()
+            cart = traj.cartesian()
+            for k in range(1, len(traj.t)):
+                step = traj.t[k] - traj.t[k - 1]
+                if traj.t[k] not in put:
+                    assert math.dist(cart[k][:2], cart[k - 1][:2]) <= MU * step + 1e-8, (lady, man, traj.t[k])
+                assert abs(traj.man_angle[k] - traj.man_angle[k - 1]) <= step + 1e-12, (lady, man, traj.t[k])
         assert tuple(got) == _RUN_SET[start]
 
 
@@ -1254,8 +1277,8 @@ class TestDeviationReport:
             sim.deviation_report(PolarState(0.8, 3.0), params)
 
     def test_universal_tributary_start_against_fast_man(self, params):
-        # From here an RK4 stage lands past the centre; the lady must not turn
-        # outward there and swim to the shore against constant_omega=0.8.
+        # From here a trial stage lands past the centre; the lady must not
+        # turn outward there and swim to the shore against constant_omega=0.8.
         _, rows = sim.deviation_report(PolarState(0.0557, 0.127), params, dt=1e-3)
         assert all(row.margin >= -1e-3 for row in rows)
         fast = next(row for row in rows if row.label == "constant_omega=0.8")
