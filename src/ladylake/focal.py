@@ -11,6 +11,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from .model import (
@@ -25,6 +26,8 @@ from .model import (
 from .rootfind import bisect, grid_brackets
 
 SCAN_POINTS = 4096
+# Bound once for _newton, the entry kernel, which runs at every stage of a deviating run.
+_PI, _sqrt, _atan2 = math.pi, math.sqrt, math.atan2
 
 
 class EntryCase(enum.Enum):
@@ -82,7 +85,7 @@ def fl_heading_at(r: float, omega: float, mu: float) -> tuple[float, float]:
 
 
 def line_segment(
-    t0: float, r0: float, th0: float, omega: Callable[[float], float], params: GameParams
+    t0: float, r0: float, th0: float, omega: float | Callable[[float], float], params: GameParams
 ) -> Segment:
     """L on the line under fl_control: theta holds and r = (mu/w) sin phi,
     phi = phi0 + w (t - t0), phi0 = asin(w r0/mu), with w = |omega| read at
@@ -90,14 +93,16 @@ def line_segment(
     phi0)/w, t0 + (mu - r0)/mu for w = 0, or t0 itself from within tol_event
     of mu.  Between the ends, with w > 0, phi is counted back from E as asin
     w - w (t1 - t) and the heading is (cos phi, sin phi) signed like
-    omega(t): cos phi keeps the digits that sqrt(1 - sin^2) loses next to E."""
-    mu, w = params.mu, abs(omega(t0))
+    omega(t): cos phi keeps the digits that sqrt(1 - sin^2) loses next to E.
+    omega is a function of t, or a float where M's rate holds: read by no record."""
+    rate, oms = (omega, lambda ts: map(omega, ts)) if callable(omega) else (lambda t: omega, lambda ts: repeat(omega))
+    mu, w = params.mu, abs(rate(t0))
     phi0, phi1 = math.asin(min(1.0, w * r0 / mu)), math.asin(w)
     t1 = t0 if mu - r0 <= params.tol_event else t0 + ((phi1 - phi0) / w if w else (mu - r0) / mu)
 
     def on_r(rs: list[float], part: list[float]):
         """rs with the headings fl_heading_at gives there."""
-        heads = [fl_heading_at(r, om, mu) for r, om in zip(rs, map(omega, part))]
+        heads = [fl_heading_at(r, om, mu) for r, om in zip(rs, oms(part))]
         return rs, [c for c, _ in heads], [s for _, s in heads]
 
     def state(ts: list[float]):
@@ -108,13 +113,13 @@ def line_segment(
             phis = [phi1 - w * (t1 - t) for t in mid]
             sins = list(map(math.sin, phis))
             body = ([mu / w * x for x in sins], list(map(math.cos, phis)),
-                    list(map(math.copysign, sins, map(omega, mid))))
+                    list(map(math.copysign, sins, oms(mid))))
         else:
             body = on_r([r0 + mu * (t - t0) for t in mid], mid)
         rs, cs, ss = (h + b + e for h, b, e in zip(on_r([r0] * j, ts[:j]), body, on_r([mu] * (n - i), ts[i:])))
         return rs, [th0] * n, cs, ss
 
-    return Segment("focal_line", t0, t1, state, omega)
+    return Segment("focal_line", t0, t1, state, rate)
 
 
 def time_on_focal_line(s: float, params: GameParams) -> float:
@@ -229,12 +234,6 @@ def _times(legs, theta, case: EntryCase, mu: float):
     return (leg_s - leg_r) / mu, theta - ang_r + ang_s - math.pi
 
 
-def _delta(times):
-    """Arrival-time mismatch of a (t_lady, t_man) pair; its roots are entry radii."""
-    t_lady, t_man = times
-    return t_lady - t_man
-
-
 def entry_delta(
     state: PolarState, s: float, case: EntryCase, params: GameParams
 ) -> float:
@@ -242,43 +241,62 @@ def entry_delta(
     at the aligned entry configuration (s, pi); its roots are entry candidates."""
     if case is EntryCase.TWO and s < state.r - params.slack:
         raise DomainError(f"case Two requires s >= r, got s = {s}, r = {state.r}")
-    return _delta(_times(_legs(state.r, s, params.mu), state.theta, case, params.mu))
+    return _newton(state.r, state.theta, s, case, params.mu)[0]
 
 
 def _newton(r: float, theta: float, s: float, case: EntryCase, mu: float) -> tuple[float, float]:
-    """Delta at s and the Newton iterate from s by leg_r dDelta/ds = g (leg_r +- leg_s)."""
-    leg_r, leg_s, _, _ = legs = _legs(r, s, mu)
-    f = _delta(_times(legs, theta, case, mu))
-    up = 1.0 if case is EntryCase.ONE else -1.0
-    slope = (2.0 / mu) * math.sqrt(max(0.0, 1.0 - s * s / (mu * mu))) * (leg_r + up * leg_s)
+    """Delta = t_lady - t_man at s and the Newton iterate from s by leg_r dDelta/ds
+    = g (leg_r +- leg_s): _legs and _times written out, each float operation in
+    their order, so Delta is theirs bit for bit."""
+    a = s * s / mu
+    under_r, under_s = (r - a) * (r + a), (s - a) * (s + a)
+    if under_r < -GameParams.slack or under_s < -GameParams.slack:
+        raise DomainError(f"no tangent path: r = {r}, s = {s} violate r >= s^2/mu")
+    leg_r = _sqrt(under_r) if under_r > 0.0 else 0.0
+    leg_s = _sqrt(under_s) if under_s > 0.0 else 0.0
+    ang_r, ang_s = _atan2(leg_r, a), _atan2(_sqrt((mu - s) * (mu + s)), s)
+    cos2 = 1.0 - s * s / (mu * mu)
+    g = (2.0 / mu) * _sqrt(cos2) if cos2 > 0.0 else 0.0
+    if case is EntryCase.ONE:
+        f = (leg_r + leg_s) / mu - (theta + ang_r + ang_s - _PI)
+        slope = g * (leg_r + leg_s)
+    else:
+        f = (leg_s - leg_r) / mu - (theta - ang_r + ang_s - _PI)
+        slope = g * (leg_r - leg_s)
     return f, (s - f * leg_r / slope if slope != 0.0 else s)
 
 
 def entry_track(r: float, theta: float, params: GameParams, case: EntryCase,
-                s: float) -> tuple[float, EntryCase] | None:
+                s: float, _seen: dict | None = None) -> tuple[float, EntryCase] | None:
     """entry_root's (s, case) by Newton steps d1, d2 from a predicted s; None unless
     both stay in the bracket, |d2| <= |d1|/2, their error (d2/d1)^2 |d2| <= tol_root,
-    and up Delta >= 0 at an iterate or else at s_hi (up Delta increases: the case test)."""
+    and up Delta >= 0 at an iterate or else at s_hi (up Delta increases: the case test).
+    The (Delta, iterate) pairs it makes go into _seen by radius, so that where it
+    declines, entry_root on the same state, case and hint reads them."""
     mu, up = params.mu, (1.0 if case is EntryCase.ONE else -1.0)
     lo, hi = (0.0 if up > 0.0 else r), min(mu, math.sqrt(mu * r))
-    f0, s1 = _newton(r, theta, s, case, mu) if lo < s < hi else (0.0, s)
+    if not lo < s < hi:
+        return None
+    seen = {} if _seen is None else _seen
+    f0, s1 = seen[s] = _newton(r, theta, s, case, mu)
     if s1 == s or not lo < s1 < hi:
         return None
-    f1, s2 = _newton(r, theta, s1, case, mu)
+    f1, s2 = seen[s1] = _newton(r, theta, s1, case, mu)
     d1, d2 = s1 - s, s2 - s1
     if lo < s2 < hi and abs(d2) <= 0.5 * abs(d1) and (d2 / d1) ** 2 * abs(d2) <= params.tol_root:
-        if max(up * f0, up * f1) >= 0.0 or up * _newton(r, theta, hi, case, mu)[0] >= 0.0:
+        if max(up * f0, up * f1) >= 0.0 or up * seen.setdefault(hi, _newton(r, theta, hi, case, mu))[0] >= 0.0:
             return s2, case
     return None
 
 
 def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | None = None,
-               hint: float | None = None) -> tuple[float, EntryCase] | None:
+               hint: float | None = None, _seen: dict | None = None) -> tuple[float, EntryCase] | None:
     """Entry radius and case through (r, theta) by the proof in solve_entry:
     None if the given case has no root in its bracket, NoRootError if no case
     is given and neither has one.  Safeguarded Newton steps start from hint and
-    stop once Delta changes sign within tol_root of the returned radius."""
-    mu = params.mu
+    stop once Delta changes sign within tol_root of the returned radius; a
+    (Delta, iterate) pair in _seen, from entry_track, is read, not made again."""
+    mu, seen = params.mu, _seen or {}
     s_hi = min(mu, math.sqrt(mu * r))
     pick = case is None
     if pick:
@@ -286,7 +304,7 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     up = 1.0 if case is EntryCase.ONE else -1.0  # the sign of dDelta/ds
     a, b = (0.0 if up > 0.0 else r), s_hi
     # Delta(a) from the proof: rounding in _times can flip its sign at 0.
-    fa, fb = (r / mu if up > 0.0 else math.pi) - theta, _newton(r, theta, b, case, mu)[0]
+    fa, fb = (r / mu if up > 0.0 else math.pi) - theta, (seen.get(b) or _newton(r, theta, b, case, mu))[0]
     if not a < b or up * fa > 0.0 or up * fb < 0.0:
         if pick:
             raise NoRootError(f"no focal-line entry radius for state (r={r}, theta={theta})")
@@ -296,7 +314,7 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     s = 0.5 * (a + b) if hint is None else min(max(hint, a), b)
     cand = None  # the end of a short step, returned once Delta changes sign past it
     for _ in range(100):
-        f, step = _newton(r, theta, s, case, mu)
+        f, step = seen.get(s) or _newton(r, theta, s, case, mu)
         if cand is not None and (up * f >= 0.0) == (s > cand):
             return cand, case
         if f == 0.0:
@@ -330,11 +348,12 @@ def _scan_case(
     leg_r = np.sqrt(np.clip(under_r, 0.0, None))
     legs = (leg_r, np.sqrt(np.clip((grid - a) * (grid + a), 0.0, None)),
             np.arctan2(leg_r, a), np.arctan2(np.sqrt((mu - grid) * (mu + grid)), grid))
-    values = _delta(_times(legs, theta, case, mu))
+    t_lady, t_man = _times(legs, theta, case, mu)
+    values = t_lady - t_man
     values[under_r < -GameParams.slack] = np.nan
 
     def f(s: float) -> float:
-        return _delta(_times(_legs(r, s, mu), theta, case, mu))
+        return _newton(r, theta, s, case, mu)[0]
 
     roots = []
     pts = grid.tolist()

@@ -133,7 +133,7 @@ class _Lady:
     An evaluation writes no memory.  It continues her radius by
     focal.entry_track from the parabola through the radii she kept at her
     last three step ends in that case, solving by focal.entry_root where it
-    declines.
+    declines, from the same prediction and with the evaluations the track made.
     Where case One has no root she steers by case Two's, and where case Two
     has none by the end of its bracket, s_hi, where that root left it; once
     the simulator has located that loss (freeze), she steers by the radius
@@ -143,7 +143,7 @@ class _Lady:
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
-        self.params = params
+        self.params, self.mu, self.eps_r, self.shore = params, params.mu, params.eps_r, 1.0 - params.tol_event
         self.cos_d, self.sin_d = math.cos(delta_psi), math.sin(delta_psi)
         self.last = None  # (region, entry) of the last evaluation
         self.reset()
@@ -171,13 +171,12 @@ class _Lady:
         region and its entry: (s, case) on a focal tributary, case None where
         case Two has no root, else None.  classical_side, if given, is the
         side of the barrier taken as hers instead of the state's own."""
-        params = self.params
-        mu = params.mu
-        r = params.eps_r if r_in < params.eps_r else 1.0 if r_in > 1.0 else r_in
+        params, mu, eps_r = self.params, self.mu, self.eps_r
+        r = eps_r if r_in < eps_r else 1.0 if r_in > 1.0 else r_in
         th = 0.0 if th < 0.0 else _PI if th > _PI else th
         if classical_side is None:
             region = solution.region_of(r, th, params)
-        elif classical_side or r >= 1.0 - params.tol_event:
+        elif classical_side or r >= self.shore:
             region = solution.Region.ABOVE_BARRIER
         else:
             region = solution.min_time_region(r, th, params)
@@ -190,10 +189,10 @@ class _Lady:
             entry = (self.s, self.case)
             c, s = focal.tributary_heading_at(r, self.s, self.case, mu)
         else:
-            case, guess = self.case, self.predict(t)
-            entry = focal.entry_track(r, th, params, case, guess) if case else None
+            case, guess, seen = self.case, self.predict(t), {}
+            entry = focal.entry_track(r, th, params, case, guess, seen) if case else None
             if entry is None:
-                entry = focal.entry_root(r, th, params, case, guess)
+                entry = focal.entry_root(r, th, params, case, guess, seen)
                 if entry is None and case is focal.EntryCase.ONE:
                     entry = focal.entry_root(r, th, params, focal.EntryCase.TWO, guess)
                 entry = entry or (min(mu, math.sqrt(mu * r)), None)
@@ -208,7 +207,7 @@ class _Lady:
         region, entry = last
         if region in solution.UNIVERSAL_REGIONS:
             self.reset()
-        elif entry is not None and entry[1] is not None and not self.frozen and r >= self.params.eps_r:
+        elif entry is not None and entry[1] is not None and not self.frozen and r >= self.eps_r:
             s, case = entry
             self.track = (*self.track[1:], (t, s)) if case is self.case else ((t, None), (t, None), (t, s))
             self.s, self.case = entry
@@ -364,13 +363,15 @@ def simulate(
     on the interpolant: shore_exit, origin_passage, theta = 0 or pi crossed
     (a snapping lady enters the singular line, else the frame is mirrored),
     the case-Two focal-line entry (r meets her entry radius, continued along
-    the step by focal.entry_track), tangency (case One loses its root), the
-    loss of case Two's root, the end of a slide along theta = 0 or pi, and
+    the step by focal.entry_track, or by focal.entry_root from a declined
+    track's evaluations), tangency (case One loses its root), the loss of
+    case Two's root, the end of a slide along theta = 0 or pi, and
     barrier_crossing (she enters or leaves the classical game's side).
 
     A snapping lady enters the focal line where theta crosses pi or where r
     meets her case-Two entry radius, whichever is located first, and is put
-    on theta = pi at her r (at most mu).  By the radius rule she may still be
+    on theta = pi at her r (at most mu); so is one who starts on it or, as in
+    rollout, at the centre (r < eps_r).  By the radius rule she may still be
     short of the line: all seven delta_psi = -0.05 runs of TestRunSet enter
     so, and the put moves each of them by about 2.0e-5.
 
@@ -542,8 +543,8 @@ def simulate(
         if guess <= rr:
             return guess
         rr, thh = min(max(rr, eps_r), 1.0), min(max(thh, 0.0), _PI)
-        two = focal.EntryCase.TWO
-        found = focal.entry_track(rr, thh, params, two, guess) or focal.entry_root(rr, thh, params, two, guess)
+        two, seen = focal.EntryCase.TWO, {}
+        found = focal.entry_track(rr, thh, params, two, guess, seen) or focal.entry_root(rr, thh, params, two, guess, seen)
         return found[0] if found else guess
 
     def fl_ahead(tt: float, rr: float, thh: float) -> bool:
@@ -587,8 +588,8 @@ def simulate(
         return min(found) if found else (t1, "step")
 
     t, end = 0.0, None
-    # A snapping lady on theta = pi leaves the integrator for the focal-line segment.
-    lands_on_fl = segments is None and snap_to_fl and abs(th - _PI) <= tol and r <= mu + tol
+    # A snapping lady on theta = pi or at the centre leaves the integrator for the focal line.
+    lands_on_fl = segments is None and snap_to_fl and (r < eps_r or abs(th - _PI) <= tol and r <= mu + tol)
     if segments is not None:
         end = events[-1][1] if follow(segments) else None
         traj.events.extend(ev for ev in events[:-1] if ev[0] <= t)
@@ -729,9 +730,8 @@ def simulate(
                 break
     if lands_on_fl:
         # M's canonical rate on the line holds but for the switching man's.
-        om_line = omega(t, r, _PI)
-        rate = (lambda tt: omega(tt, r, _PI)) if period else (lambda tt: om_line)
-        end = "reached_e" if follow([focal.line_segment(t, r, th, rate, params)]) else None
+        rate = (lambda tt: omega(tt, r, _PI)) if period else omega(t, r, _PI)
+        end = "reached_e" if follow([focal.line_segment(t, r, _PI, rate, params)]) else None
 
     if end is not None:
         traj.events.append((t, end))

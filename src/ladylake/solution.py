@@ -174,7 +174,7 @@ def rollout(
             if t_tangency is not None:
                 events.append((t_tangency, "tangency"))
         elif kind == "focal_line":
-            seg = focal.line_segment(t, r, math.pi, lambda tt: 1.0, params)
+            seg = focal.line_segment(t, r, math.pi, 1.0, params)
         elif kind == "classical":
             seg = classical.path_segment(t, r, th, params)
         else:

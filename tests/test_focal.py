@@ -201,6 +201,29 @@ class TestArrivalTimes:
         arc = theta + math.acos(a / r) + math.acos(s / MU) - math.pi
         assert t_man == pytest.approx(arc, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(0.01, 0.99), u=st.floats(1e-6, 1.0), theta=st.floats(0.0, math.pi),
+           case=st.sampled_from(focal.EntryCase),
+           at=st.one_of(st.sampled_from(["0", "r", "s_hi", "mu"]), st.floats(0.0, 1.0)))
+    def test_kernel_is_the_composed_formula(self, mu, u, theta, case, at):
+        # _newton's Delta equals t_lady - t_man of _times on _legs with ==, and
+        # both raise at the same states: s from 0 to mu, r and s_hi included.
+        r = u * mu * 1.2
+        s_hi = min(mu, math.sqrt(mu * r))
+        s = {"0": 0.0, "r": r, "s_hi": s_hi, "mu": mu}.get(at) if isinstance(at, str) else at * mu
+
+        def outcome(f):
+            try:
+                return f()
+            except ValueError as exc:  # DomainError, or math's own domain error
+                return type(exc)
+
+        def composed():
+            t_lady, t_man = focal._times(focal._legs(r, s, mu), theta, case, mu)
+            return t_lady - t_man
+
+        assert outcome(lambda: focal._newton(r, theta, s, case, mu)[0]) == outcome(composed)
+
     def test_case_two_requires_s_at_least_r(self, params):
         with pytest.raises(DomainError):
             focal.entry_delta(PolarState(0.2, 2.0), 0.1, focal.EntryCase.TWO, params)

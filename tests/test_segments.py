@@ -143,6 +143,10 @@ class TestSegmentColumns:
                 return 1.0 if int(t / period) % 2 == 0 else -1.0
         seg = focal.line_segment(t0, r0, math.pi, omega, params)
         assert_columns(seg, line_at(t0, r0, math.pi, omega, params), grid(seg, drawn))
+        if period is None:  # a rate that holds, given as a float, is read at no record
+            seg = focal.line_segment(t0, r0, math.pi, w, params)
+            assert_columns(seg, line_at(t0, r0, math.pi, omega, params), grid(seg, drawn))
+            assert seg.omega(t0) == w
 
     @pytest.mark.parametrize("ts", [[], ["t0"], ["t1"], ["t0", "t0", "t1", "t1"]], ids=str)
     def test_empty_one_point_and_repeated_end_grids(self, ts):

@@ -629,6 +629,20 @@ class TestDegenerateStarts:
                 params=params,
             )
 
+    @pytest.mark.parametrize("lady,man,t_e", [
+        (sim.StrategySpec.perturbed(0.05), _EQ_MAN, math.pi / 2),
+        (sim.StrategySpec.perturbed(-0.05), _EQ_MAN, math.pi / 2),
+        (_EQ_LADY, sim.StrategySpec.constant_omega(0.8), math.asin(0.8) / 0.8),
+        (sim.StrategySpec.perturbed(-0.05), sim.StrategySpec.switching_omega(0.2), math.pi / 2),
+    ], ids=["perturbed(+0.05)/eq", "perturbed(-0.05)/eq", "eq/constant(0.8)", "perturbed(-0.05)/switching"])
+    def test_deviating_lady_leaves_the_centre(self, params, lady, man, t_e):
+        # At the centre she is on the focal line, as in rollout, and drifts out
+        # along it at his rate w: E at asin(w)/w.
+        traj = sim.simulate(PolarState(0.0, 1.0), lady, man, dt=1e-3, params=params)
+        assert traj.outcome == "reached_e"
+        assert traj.t_final == pytest.approx(t_e, abs=1e-12)
+        assert traj.theta == [math.pi] * len(traj.t) and traj.r[-1] == MU
+
     @pytest.mark.parametrize("field", ["dt", "t_max"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_step_or_horizon(self, params, field, value):
@@ -1016,6 +1030,23 @@ class TestStageCorrector:
         assert traj.steps > 100
         assert calls["root"] <= traj.steps + calls["declined"] + 1
         assert calls["declined"] <= 0.05 * calls["track"]
+
+    def test_report_evaluation_count(self, params, monkeypatch):
+        # The mismatch evaluations of one deviation report from closed_loop's
+        # focal start, run in-process: a declined entry_track hands its
+        # evaluations to entry_root, so the report makes 8,161 (9,197 when
+        # entry_root made them again).  A count, unlike a timing, repeats exactly.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls, newton = [0], focal._newton
+
+        def counted(*args):
+            calls[0] += 1
+            return newton(*args)
+
+        monkeypatch.setattr(focal, "_newton", counted)
+        _, rows = sim.deviation_report(PolarState(0.1, 2.85), params)
+        assert [row.outcome for row in rows] == ["reached_e"] * 5
+        assert calls[0] <= 8161
 
 
 class TestIntegrator:
