@@ -295,12 +295,13 @@ def entry_root(r: float, theta: float, params: GameParams, case: EntryCase | Non
     None if the given case has no root in its bracket, NoRootError if no case
     is given and neither has one.  Safeguarded Newton steps start from hint and
     stop once Delta changes sign within tol_root of the returned radius; a
-    (Delta, iterate) pair in _seen, from entry_track, is read, not made again."""
+    (Delta, iterate) pair in _seen, from entry_track or from picking case One
+    at s_hi (in a copy: _seen is keyed by radius alone), is read, not made again."""
     mu, seen = params.mu, _seen or {}
     s_hi = min(mu, math.sqrt(mu * r))
-    pick = case is None
-    if pick:
-        case = EntryCase.ONE if _newton(r, theta, s_hi, EntryCase.ONE, mu)[0] >= 0.0 else EntryCase.TWO
+    if pick := case is None:
+        one = _newton(r, theta, s_hi, EntryCase.ONE, mu)
+        case, seen = (EntryCase.ONE, {**seen, s_hi: one}) if one[0] >= 0.0 else (EntryCase.TWO, seen)
     up = 1.0 if case is EntryCase.ONE else -1.0  # the sign of dDelta/ds
     a, b = (0.0 if up > 0.0 else r), s_hi
     # Delta(a) from the proof: rounding in _times can flip its sign at 0.

@@ -2,25 +2,27 @@
 
 Equilibrium lady against equilibrium man samples solution.rollout, the
 paper's closed-form path, segment by segment.  Other runs integrate the
-feedback strategies with error-controlled Dormand–Prince 5(4) steps, every
-discontinuity of the right-hand side at a step end: switch times bound the
-steps, and events (focal-line entry, tangency, origin passage, shore exit,
-barrier crossings) are located on the steps' interpolants.  Records are
-taken from the interpolants, so the time grid spaces them and changes
-nothing else.  A lady who plays the focal-line control follows its closed
-form once on theta = pi.  The integrated state is kept in the canonical
-half-plane, theta in [0, pi]: a crossing of theta = 0 or pi either snaps
-onto the singular line or mirrors the frame (theta seen as -theta), and a
-passage through the centre lands on the opposite ray, at pi - theta in the
-mirrored frame (unmirrored if that is theta = pi).
+feedback strategies, on one run state (_Run), with error-controlled
+Dormand–Prince 5(4) steps, every discontinuity of the right-hand side at a
+step end: switch times bound the steps, and the events of one table,
+_EVENTS (focal-line entry, tangency, origin passage, shore exit, barrier
+crossings; at one time the row of lowest priority wins), are located on the
+steps' interpolants.  Records are taken from the interpolants, so the time
+grid only spaces them.  A lady who plays the focal-line control follows its
+closed form once on theta = pi.  The integrated state is kept in the
+canonical half-plane, theta in [0, pi]: a crossing of theta = 0 or pi either
+snaps onto the singular line or mirrors the frame (theta seen as -theta),
+and a passage through the centre lands on the opposite ray, at pi - theta in
+the mirrored frame (unmirrored if that is theta = pi).
 """
 from __future__ import annotations
 
 import math
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
 from . import classical, focal, solution
 from .model import DomainError, GameParams, LakeGameError, PolarState, RegionError, cartesian_at, rates
@@ -324,14 +326,341 @@ def _locate(past, at, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
-def _man_rate(spec: StrategySpec, params: GameParams) -> Callable[[float, float, float], float]:
-    """M's angular rate as a function of (t, r, theta), one per man kind."""
-    if spec.kind == "equilibrium":
-        tol = params.tol_event
-        return lambda t, r, th: 0.0 if th <= tol else 1.0
-    if spec.kind == "constant_omega":
-        return lambda t, r, th: spec.value
-    return lambda t, r, th: 1.0 if int(t / spec.period) % 2 == 0 else -1.0
+class _Run:
+    """One run's state, read and written by the functions below: t, r, th and
+    alpha (her canonical state and M's angle), sign (-1 while the frame is
+    mirrored), what _start sets to hold over a step sequence (line: 0.0 or pi
+    while she slides along it, theta held; pinned: held at the centre; side:
+    on the classical side of the barrier; om_step: M's canonical rate) and
+    end, the run's end event or None."""
+
+    __slots__ = ("params mu tol slack eps_r heading snap man_rate man_eq period band "
+                 "t r th alpha sign line pinned side om_step end t_switch lady traj").split()
+
+    def __init__(self, initial: PolarState, lady: StrategySpec, man: StrategySpec, params: GameParams) -> None:
+        tol, self.man_eq = params.tol_event, man.kind == "equilibrium"
+        self.params, self.mu, self.tol, self.slack, self.eps_r = params, params.mu, tol, params.slack, params.eps_r
+        self.heading = lady.heading if lady.kind == "fixed_heading" else None
+        self.snap = self.heading is None  # she snaps onto the focal line
+        self.period = man.period if man.kind == "switching_omega" else None
+        # M's rate at (t, r, theta), in [-1, 1] (StrategySpec bounds a constant one).
+        self.man_rate = ((lambda t, r, th: 0.0 if th <= tol else 1.0) if self.man_eq
+                         else (lambda t, r, th: man.value) if man.kind == "constant_omega"
+                         else (lambda t, r, th: 1.0 if int(t / man.period) % 2 == 0 else -1.0))
+        # He stands still within tol_event of theta = 0: to her that band is the line.
+        self.band = tol if self.man_eq else 0.0
+        self.t, self.r, self.th, self.alpha, self.sign = 0.0, initial.r, initial.theta, 0.0, 1.0
+        self.line, self.pinned, self.side, self.om_step, self.end, self.t_switch = (
+            None, False, False, None, None, self.period or math.inf)
+        self.lady, self.traj = _Lady(params, lady.delta_psi), Trajectory()
+
+
+def _start(run: _Run):
+    """Start a step sequence at run's state: set line, pinned, side and om_step,
+    and return its stage function with its value there.  The stage reads them
+    once and counts its calls in traj.evaluations: at (t, r, theta), the rates
+    of (r, theta, alpha), the canonical controls and the lady's (region, entry)."""
+    t, r, th, period = run.t, run.r, run.th, run.period
+    # M's rate is read between his switches: his rate on the open interval.
+    t_rate = run.t_switch - 0.5 * period if period else t
+    run.om_step = None if run.man_eq else run.man_rate(t_rate, r, th) * run.sign
+    run.line, run.pinned, run.side = None, False, _classical_side(run, r, th)
+    if th in (0.0, _PI):
+        # On theta = 0 or pi she slides along it, leaves it, or mirrors the frame;
+        # at the run's end a slide still sets his last rate, and nothing mirrors.
+        here, mirrored = _line_rates(run, t, r, th)
+        if max(here, mirrored) <= 0.0 if th == 0.0 else run.snap and here >= 0.0:
+            run.line = th
+        elif run.end is None and (here < 0.0 if th == 0.0 else here > 0.0):
+            run.sign = -run.sign
+            run.om_step = None if run.man_eq else run.man_rate(t_rate, r, th) * run.sign
+            _log(run, "reflection")
+    if run.band:
+        # He stands still while she slides along theta = 0, and runs at 1 elsewhere.
+        run.om_step = 0.0 if run.line == 0.0 else 1.0
+    mu, slack, sign, om, side, lady, traj = run.mu, run.slack, run.sign, run.om_step, run.side, run.lady, run.traj
+    sliding, dal = run.line is not None, sign * om
+    fixed = (run.heading[0], sign * run.heading[1]) if run.heading else None  # her controls, if fixed
+
+    def stage(t: float, r: float, th: float):
+        traj.evaluations += 1
+        c, s_ = fixed or lady(r, th, t, side)  # lady.last stays None where her heading is fixed
+        if run.pinned:
+            return 0.0, 0.0, dal, (c, s_, om), lady.last
+        dr, dth = rates(max(abs(r), slack), c, s_, om, mu)
+        return dr, (0.0 if sliding else dth), dal, (c, s_, om), lady.last
+
+    k1 = stage(t, r, th)
+    if r <= run.eps_r and k1[0] < 0.0 and run.end is None:
+        # Through the centre she would only turn back into it.
+        run.pinned = True
+        k1 = stage(t, r, th)
+    if k1[4] is not None:
+        lady.commit(t, r, k1[4])
+    return stage, k1
+
+
+def _record(run: _Run, t: float, alpha: float, r: float, th: float, c: float, s_: float, om: float) -> None:
+    """Append a state and its canonical controls in the true frame."""
+    traj, sign = run.traj, run.sign
+    values = (t, r, th, alpha, int(sign < 0.0), c, sign * min(1.0, max(-1.0, s_)), sign * om)
+    for column, value in zip((traj.t, traj.r, traj.theta, traj.man_angle, traj.mirror, traj.cos_psi,
+                              traj.sin_psi, traj.omega), values):
+        column.append(value)
+
+
+def _follow(run: _Run, segs, dt: float, t_max: float) -> bool:
+    """Record closed-form segments from run.t; whether the last one ends by
+    t_max.  A segment entered at t_s is recorded at t_s + k dt while that is
+    more than slack below its end, and the run's last record is exactly at
+    the last segment's end or at t_max.  M's angle is in closed form: a
+    segment's rate holds, and the switching man's +-1 wave integrates to a
+    triangle wave."""
+    traj, sign, period, slack = run.traj, run.sign, run.period, run.slack
+    triangle = lambda tt: period - abs(math.fmod(tt, 2.0 * period) - period)  # noqa: E731
+    for seg in segs:
+        t_s, a_s, t_end = run.t, run.alpha, min(seg.t1, t_max)
+        last = seg is segs[-1] or t_end >= t_max - slack
+        ts = [t_s + k * dt for k in range(max(0, int((t_end - slack - t_s) / dt) + 2))]
+        while ts and ts[-1] >= t_end - slack:
+            ts.pop()
+        if last:
+            ts.append(t_end)
+        if period:
+            tri_s = triangle(t_s)
+            oms, als = [sign * om for om in map(seg.omega, ts)], [a_s + triangle(tt) - tri_s for tt in ts]
+            a_end = a_s + triangle(t_end) - tri_s
+        else:
+            om = sign * seg.omega(t_s)
+            oms, als, a_end = [om] * len(ts), [a_s + om * (tt - t_s) for tt in ts], a_s + om * (t_end - t_s)
+        run.t, run.alpha = t_end, a_end
+        for column, values in zip((traj.t, traj.man_angle, traj.mirror, traj.omega),
+                                  (ts, als, [int(sign < 0.0)] * len(ts), oms)):
+            column.extend(values)
+        for i in range(0, len(ts), 1024):  # 1,024 states at a time, to bound the peak
+            rs, ths, cs, ss = seg.state(ts[i:i + 1024])
+            ss = ss if sign > 0.0 else [-s_ for s_ in ss]
+            for column, values in zip((traj.r, traj.theta, traj.cos_psi, traj.sin_psi), (rs, ths, cs, ss)):
+                column.extend(values)
+        if last:
+            return seg is segs[-1] and t_end == seg.t1
+
+
+def _line_rates(run: _Run, t: float, r: float, th: float) -> tuple[float, float]:
+    """theta' on the line th (0 or pi) in this frame and in the mirrored one,
+    where M's rate changes sign but the equilibrium man's (1 next to the
+    line), and her heading only if it is fixed."""
+    heading = run.heading
+    c, s_ = (heading[0], run.sign * heading[1]) if heading else run.lady(r, th, t)
+    om = 1.0 if run.man_eq else run.om_step
+    base = run.mu / max(r, run.slack) * s_
+    return base - om, (-base if heading else base) - (om if run.man_eq else -om)
+
+
+def _held(run: _Run, t: float, r: float) -> bool:
+    """Whether she stays on the line she slides along, or at the centre."""
+    if run.pinned:  # theta is the step's start's
+        return (run.heading[0] if run.heading else run.lady(run.eps_r, run.th, t)[0]) < 0.0
+    here, mirrored = _line_rates(run, t, r, run.line)
+    return here >= 0.0 if run.line == _PI else max(here, mirrored) <= 0.0
+
+
+def _classical_side(run: _Run, r: float, th: float) -> bool:
+    """Whether (r, theta) lies on the classical game's side of the barrier."""
+    return not r < run.mu and classical.barrier_side(
+        min(r, 1.0), min(max(th, 0.0), _PI), run.params) is not classical.BarrierSide.BELOW
+
+
+def _case_lost(run: _Run, case: focal.EntryCase, r: float, th: float) -> bool:
+    """Whether the mismatch at s_hi, where the two cases meet, says that case
+    has no root: One has one iff it is >= 0, Two iff it is <= 0 and r <= mu."""
+    mu, r, th = run.mu, min(max(r, run.eps_r), 1.0), min(max(th, 0.0), _PI)
+    s_hi = min(mu, math.sqrt(mu * r))
+    return case is _TWO and s_hi < r or (1.0 if case is _ONE else -1.0) * focal._newton(r, th, s_hi, case, mu)[0] < 0.0
+
+
+def _fl_ahead(run: _Run, t: float, r: float, th: float) -> bool:
+    """Whether r has reached her case-Two entry radius continued along the
+    step: the kept one once frozen, her predicted radius once r has passed
+    it, else the root entry_track (entry_root where it declines) finds from it."""
+    lady = run.lady
+    guess = lady.s if lady.frozen else lady.predict(t)
+    if lady.frozen or guess <= r:
+        return guess <= r
+    rc, th, seen = min(max(r, run.eps_r), 1.0), min(max(th, 0.0), _PI), {}
+    found = (focal.entry_track(rc, th, run.params, _TWO, guess, seen)
+             or focal.entry_root(rc, th, run.params, _TWO, guess, seen))
+    return (found[0] if found else guess) <= r
+
+
+def _log(run: _Run, kind: str) -> bool:
+    """Log an event at run.t; False, the value of an action that ends with it."""
+    run.traj.events.append((run.t, kind))
+    return False
+
+
+def _shore_exit(run: _Run) -> bool:
+    run.r, run.end = 1.0, "shore_exit"
+    return False
+
+
+def _through_centre(run: _Run) -> bool:
+    """Onto the opposite ray, in the mirrored frame unless on the focal line."""
+    run.r, run.th = max(abs(run.r), run.eps_r), _PI - run.th
+    run.th, run.sign = (_PI, run.sign) if abs(run.th - _PI) <= run.tol else (run.th, -run.sign)
+    run.lady.reset()
+    return _log(run, "origin_passage") or run.snap and run.th == _PI
+
+
+def _ul_cross(run: _Run) -> bool:
+    """She enters the universal line if theta' <= 0 in the mirrored frame too,
+    or she snaps and the equilibrium man stands still; else she mirrors the
+    frame, but not at a switch, which leaves theta = 0 to _start."""
+    if run.man_eq and run.snap or _line_rates(run, run.t, run.r, 0.0)[1] <= 0.0:
+        run.th = 0.0
+        return _log(run, "ul_entry")
+    if run.t < run.t_switch:
+        run.sign = -run.sign
+        _log(run, "reflection")
+    return False
+
+
+def _fl_cross(run: _Run) -> bool:
+    """A snapping lady short of E is put on the focal line at her r (at most
+    mu); any other lady mirrors the frame."""
+    if run.snap and run.r < run.mu + run.tol:
+        run.r, run.th = min(run.r, run.mu), _PI
+        _log(run, "fl_entry")
+        return True
+    run.sign = -run.sign
+    run.end = "reached_e" if abs(run.r - run.mu) <= run.tol and abs(run.th - _PI) <= run.tol else None
+    return _log(run, "reflection")
+
+
+# The event table, one row per located event (fl_cross has two: theta crosses
+# pi, or r meets her case-Two entry radius).  A row's guard(run, t1, r1, th1,
+# e) says whether the step from run's state holds it (e: the lady's (s, case)
+# at t1, or None); _locate bisects its past(run, t, r, th) on the step's
+# interpolant; its action(run) at the located time returns whether she is on
+# the focal line.  barrier_crossing, last, is read where the others cut.
+_Event = namedtuple("_Event", "kind priority guard past action")
+_ONE, _TWO = focal.EntryCase.ONE, focal.EntryCase.TWO
+_EVENTS = (
+    _Event("shore_exit", 4, lambda run, t1, r1, th1, e: run.r < 1.0 <= r1,
+           lambda run, t, r, th: r >= 1.0, _shore_exit),
+    _Event("origin_passage", 2, lambda run, t1, r1, th1, e: run.r > run.eps_r >= r1,
+           lambda run, t, r, th: r <= run.eps_r, _through_centre),
+    _Event("ul_cross", 7, lambda run, t1, r1, th1, e: run.line is None and run.th > run.band >= th1,
+           lambda run, t, r, th: th <= run.band, _ul_cross),
+    _Event("fl_cross", 1, lambda run, t1, r1, th1, e: run.line is None and run.th < _PI <= th1,
+           lambda run, t, r, th: th >= _PI, _fl_cross),
+    _Event("slide_end", 5, lambda run, t1, r1, th1, e: (run.line is not None or run.pinned) and not _held(run, t1, r1),
+           lambda run, t, r, th: not _held(run, t, r), lambda run: False),
+    _Event("tangency", 6, lambda run, t1, r1, th1, e: run.lady.case is _ONE and e is not None and e[1] is not _ONE,
+           lambda run, t, r, th: _case_lost(run, _ONE, r, th), lambda run: run.lady.turn() or _log(run, "tangency")),
+    _Event("root_lost", 3,
+           lambda run, t1, r1, th1, e: run.lady.case is _TWO and e is not None and e[1] is None and not run.lady.frozen,
+           lambda run, t, r, th: _case_lost(run, _TWO, r, th),
+           lambda run: run.lady.freeze(min(run.mu, math.sqrt(run.mu * max(run.r, run.eps_r))))),
+    _Event("fl_cross", 1,
+           lambda run, t1, r1, th1, e: run.snap and run.lady.case is _TWO and (
+               min(e[0], run.lady.predict(t1)) <= r1 if e is not None and e[1] is _TWO and not run.lady.frozen
+               else _fl_ahead(run, t1, r1, th1)), _fl_ahead, _fl_cross),
+    _Event("barrier_crossing", 0, lambda run, t1, r1, th1, e: run.side is not _classical_side(run, r1, th1),
+           lambda run, t, r, th: _classical_side(run, r, th) is not run.side,
+           lambda run: _log(run, "barrier_crossing")),
+)
+
+
+def _step_event(run: _Run, at, t1: float, y1, last, rows=_EVENTS):
+    """The earliest event of rows over the step from run's state to (t1, y1),
+    with interpolant at and the lady's (region, entry) at t1 or None: (time,
+    row), or (t1, None).  The last row is located only before the earliest of
+    the others, its guard read there; a tie goes to the lowest priority."""
+    entry, r1, th1, found = last[1] if last is not None else None, y1[0], y1[1], []
+    for row in rows[:-1]:
+        if row.guard(run, t1, r1, th1, entry):
+            found.append((_locate(partial(row.past, run), at, run.t, t1, run.tol), row.priority, row))
+    row, t_cut = rows[-1], min(found, key=operator.itemgetter(0, 1))[0] if found else t1
+    if row.guard(run, t_cut, *(at(t_cut)[:2] if t_cut < t1 else (r1, th1)), entry):
+        found.append((_locate(partial(row.past, run), at, run.t, t_cut, run.tol), row.priority, row))
+    return min(found, key=operator.itemgetter(0, 1))[::2] if found else (t1, None)
+
+
+def _integrate(run: _Run, dt: float, t_max: float) -> bool:
+    """Dormand–Prince steps from run's state until the run ends or reaches
+    t_max; whether it stops because she is on the focal line."""
+    traj, slack, period, tol_step = run.traj, run.slack, run.period, run.params.tol_step
+    at_e = abs(run.r - run.mu) <= run.tol and abs(run.th - _PI) <= run.tol
+    run.end = "reached_e" if at_e else ("shore_exit" if run.r >= 1.0 - run.tol else None)
+    k1, h = None, 0.1 * tol_step**0.2  # a first trial step; error control adapts it
+    err_last, rejected = 1.0, False  # the last accepted step's error over tol_step; the last try's fate
+    anchor, n_rec, n_events = 0.0, 0, 0  # records at anchor + n_rec dt, anchor the last logged event's time
+    n_switch = 1 if period else 0
+    while True:
+        if k1 is None:  # a new step sequence: after an event, a switch or at the start
+            stage, k1 = _start(run)
+        t, y0 = run.t, (run.r, run.th, run.alpha)
+        if len(traj.events) > n_events:
+            anchor, n_rec, n_events = t, 0, len(traj.events)
+        done = run.end is not None or t >= t_max - slack
+        if done or anchor + n_rec * dt <= t + slack:
+            _record(run, t, y0[2], y0[0], y0[1], *k1[3])
+            n_rec += 1
+        if done:
+            return False
+        h_try = min(h, t_max - t, run.t_switch - t)
+        try:
+            y1, ks, err = _dp45(stage, t, y0, h_try, k1)
+        except LakeGameError:
+            return _log(run, "strategy_error")
+        if not (math.isfinite(y1[0]) and math.isfinite(y1[1])):
+            raise LakeGameError(f"integration produced NaN at t = {t}")
+        t1 = t + h_try
+        try:
+            row, t_end = None, t1
+            if err <= tol_step:
+                # Its events: the step is taken again up to the earliest, its stages before it.
+                at = _dense(t, y0, h_try, ks)
+                t_end, row = _step_event(run, at, t1, y1, ks[-1][4])
+                if row is not None and t_end < t1:
+                    h_try = t_end - t
+                    y1, ks, err = _dp45(stage, t, y0, h_try, k1)
+                    at = _dense(t, y0, h_try, ks)
+            # Step size by Hairer and Wanner's PI control (Solving ODEs I, IV.2, and
+            # DOPRI5): shrink at most 5x, grow at most 10x, not right after a rejection.
+            err /= tol_step
+            if err > 1.0:
+                traj.rejected += 1
+                h, rejected = h_try / min(5.0, err**0.17 / 0.9), True
+                continue
+            traj.steps += 1
+            h_new = h_try / max(0.1, min(5.0, err**0.17 / err_last**0.04 / 0.9))
+            h_new = min(h_new, h_try) if rejected else h_new
+            h = h_new if h_try >= h else min(h, h_new)
+            err_last, rejected = max(err, 0.0001), False
+            if row is None and y1[0] < 0.0:
+                row = _EVENTS[1]  # origin_passage, unlocated: through the centre from r = eps_r
+            # The sequence also ends where a step off a line she left leaves [0, pi].
+            cut = row is not None or not 0.0 <= y1[1] <= _PI
+            if not cut and ks[-1][4] is not None:
+                # Kept before the records, which then interpolate her radius.
+                run.lady.commit(t1, y1[0], ks[-1][4])
+            while anchor + n_rec * dt < t_end - slack:
+                t_rec = anchor + n_rec * dt
+                r_rec, th_rec, al_rec = at(t_rec)
+                th_rec = min(max(th_rec, 0.0), _PI)
+                _record(run, t_rec, al_rec, r_rec, th_rec, *stage(t_rec, r_rec, th_rec)[3])
+                n_rec += 1
+        except LakeGameError:
+            return _log(run, "strategy_error")
+        run.t, run.r, run.alpha, k1 = t_end, y1[0], y1[2], None if cut else ks[-1]
+        run.th = min(max(y1[1], 0.0), _PI) if cut else y1[1]
+        if row is not None and row.action(run):
+            return True
+        if run.t >= run.t_switch:
+            n_switch += 1
+            run.t_switch, k1 = n_switch * period, None
 
 
 def simulate(
@@ -357,16 +686,13 @@ def simulate(
     record spacing, counted from the last logged event: a record's state
     comes from its step's interpolant and its controls from one strategy
     evaluation, and the lady's memory is written only at step ends, so events
-    and t_final do not depend on dt.  Each discontinuity of the right-hand side
-    ends a step.  The switching man's switch times bound the steps, each
-    step taking his rate on its open interval.  The rest are events located
-    on the interpolant: shore_exit, origin_passage, theta = 0 or pi crossed
-    (a snapping lady enters the singular line, else the frame is mirrored),
-    the case-Two focal-line entry (r meets her entry radius, continued along
-    the step by focal.entry_track, or by focal.entry_root from a declined
-    track's evaluations), tangency (case One loses its root), the loss of
-    case Two's root, the end of a slide along theta = 0 or pi, and
-    barrier_crossing (she enters or leaves the classical game's side).
+    and t_final do not depend on dt.  Each discontinuity of the right-hand
+    side ends a step: the switching man's switches bound the steps, each
+    taking his rate on its open interval, and the events of the table
+    _EVENTS are located on an accepted step's interpolant, which is then
+    taken again up to the earliest.  Of events at one time the first in this
+    order wins (the rows' priorities): barrier_crossing, fl_cross,
+    origin_passage, root_lost, shore_exit, slide_end, tangency, ul_cross.
 
     A snapping lady enters the focal line where theta crosses pi or where r
     meets her case-Two entry radius, whichever is located first, and is put
@@ -388,357 +714,29 @@ def simulate(
         raise DomainError("dt and t_max must be finite and positive")
     if lady.side != "lady" or man.side != "man":
         raise DomainError("a lady strategy and a man strategy are required")
-    mu, tol, slack, eps_r = params.mu, params.tol_event, params.slack, params.eps_r
     segments = None
     if lady.kind == man.kind == "equilibrium":
         try:
             segments, events = rollout(initial, params)
         except RegionError:
             pass  # the docstring's list of starts that are integrated
-    lady_s = _Lady(params, lady.delta_psi)
-    fixed_heading = lady.heading if lady.kind == "fixed_heading" else None
-    snap_to_fl = fixed_heading is None
-    man_rate = _man_rate(man, params)
-    man_eq = man.kind == "equilibrium"
-    period = man.period if man.kind == "switching_omega" else None
-    # The equilibrium man stands still within tol_event of theta = 0, so a
-    # lady who reaches that band has reached the universal line.
-    band = tol if man_eq else 0.0
-
-    r, th, alpha, sign = initial.r, initial.theta, 0.0, 1.0
-    traj = Trajectory()
-    om_step = None  # M's canonical rate over the step
-    line = None  # the line (0.0 or pi) she slides along, theta held, or None
-    pinned = False  # at the centre with her heading into it: r and theta held
-    side = False  # whether the step is on the classical side of the barrier
-    evaluations = 0
-
-    def omega(tt: float, rr: float, thh: float) -> float:
-        """M's canonical rate at a state, clamped to [-1, 1]."""
-        return min(1.0, max(-1.0, man_rate(tt, rr, thh) * (1.0 if man_eq else sign)))
-
-    def stage(tt: float, rr: float, thh: float):
-        """Rates of (r, theta, alpha) at a state, then the canonical controls
-        (cos_psi, sin_psi, omega) and the lady's (region, entry) there."""
-        nonlocal evaluations
-        evaluations += 1
-        om = om_step
-        if fixed_heading is not None:
-            c, s_, last = fixed_heading[0], sign * fixed_heading[1], None
-        else:
-            c, s_ = lady_s(rr, thh, tt, side)
-            last = lady_s.last
-        dr, dth = rates(max(abs(rr), slack), c, s_, om, mu)
-        if pinned:
-            return 0.0, 0.0, sign * om, (c, s_, om), last
-        return dr, (0.0 if line is not None else dth), sign * om, (c, s_, om), last
-
-    columns = (traj.t, traj.r, traj.theta, traj.man_angle, traj.mirror, traj.cos_psi, traj.sin_psi, traj.omega)
-
-    def record(tt, al, rr, thh, c, s_, om) -> None:
-        """Append a state and its canonical controls in the true frame."""
-        values = (tt, rr, thh, al, int(sign < 0.0), c, sign * min(1.0, max(-1.0, s_)), sign * om)
-        for column, value in zip(columns, values):
-            column.append(value)
-
-    def triangle(tt: float) -> float:
-        """M's angle at tt under the switching man: the integral of his +-1
-        square wave, which starts at +1."""
-        return period - abs(math.fmod(tt, 2.0 * period) - period)
-
-    def follow(segs) -> bool:
-        """Record closed-form segments from t; whether the last one ends by
-        t_max.  A segment entered at t_s is recorded at t_s + k dt while that
-        is more than slack below its end (a middle segment's end is the next
-        one's first record), and the run's last record is exactly at the last
-        segment's end or at t_max.  M's angle is in closed form: a segment's
-        rate holds but for the switching man's, whose angle is triangle's."""
-        nonlocal t, alpha
-        for seg in segs:
-            t_s, a_s, t_end = t, alpha, min(seg.t1, t_max)
-            last = seg is segs[-1] or t_end >= t_max - slack
-            ts = [t_s + k * dt for k in range(max(0, int((t_end - slack - t_s) / dt) + 2))]
-            while ts and ts[-1] >= t_end - slack:
-                ts.pop()
-            if last:
-                ts.append(t_end)
-            if period:
-                oms, tri_s = [sign * om for om in map(seg.omega, ts)], triangle(t_s)
-                als = [a_s + triangle(tt) - tri_s for tt in ts]
-                t, alpha = t_end, a_s + triangle(t_end) - tri_s
-            else:
-                om = sign * seg.omega(t_s)
-                oms, als = [om] * len(ts), [a_s + om * (tt - t_s) for tt in ts]
-                t, alpha = t_end, a_s + om * (t_end - t_s)
-            for column, values in zip((traj.t, traj.man_angle, traj.mirror, traj.omega),
-                                      (ts, als, [int(sign < 0.0)] * len(ts), oms)):
-                column.extend(values)
-            for i in range(0, len(ts), 1024):  # 1,024 states at a time, to bound the peak
-                rs, ths, cs, ss = seg.state(ts[i:i + 1024])
-                ss = ss if sign > 0.0 else [-s_ for s_ in ss]
-                for column, values in zip((traj.r, traj.theta, traj.cos_psi, traj.sin_psi), (rs, ths, cs, ss)):
-                    column.extend(values)
-            if last:
-                return seg is segs[-1] and t_end == seg.t1
-
-    def line_rates(tt: float, rr: float, thh: float) -> tuple[float, float]:
-        """theta' on the line thh (0 or pi) in this frame and in the mirrored
-        one, where M's canonical rate changes sign but the equilibrium man's,
-        and her canonical heading only if it is fixed.  Next to the line the
-        equilibrium man runs at 1 (he stands still only within tol_event of
-        theta = 0), so she slides along theta = 0 while that rate holds her
-        there."""
-        if fixed_heading is not None:
-            c, s_ = fixed_heading[0], sign * fixed_heading[1]
-        else:
-            c, s_ = lady_s(rr, thh, tt)
-        om = 1.0 if man_eq else om_step
-        base = mu / max(rr, slack) * s_
-        return base - om, (-base if fixed_heading else base) - (om if man_eq else -om)
-
-    def held(tt: float, rr: float) -> bool:
-        """Whether she stays on the line she slides along, or at the centre."""
-        if pinned:
-            return (fixed_heading[0] if fixed_heading else lady_s(eps_r, th, tt)[0]) < 0.0
-        here, mirrored = line_rates(tt, rr, line)
-        return here >= 0.0 if line == _PI else max(here, mirrored) <= 0.0
-
-    def slides(tt: float, rr: float) -> bool:
-        """Whether a lady who crosses theta = 0 enters the line rather than
-        mirror the frame: theta' <= 0 in the mirrored frame too, or she snaps
-        and the equilibrium man stands still there."""
-        return man_eq and snap_to_fl or line_rates(tt, rr, 0.0)[1] <= 0.0
-
-    def at_e(rr: float, thh: float) -> bool:
-        return abs(rr - mu) <= tol and abs(thh - _PI) <= tol
-
-    def classical_side(rr: float, thh: float) -> bool:
-        """Whether (r, theta) lies on the classical game's side of the barrier."""
-        if rr < mu:
-            return False
-        return classical.barrier_side(min(rr, 1.0), min(max(thh, 0.0), _PI), params) is not classical.BarrierSide.BELOW
-
-    def case_lost(case: focal.EntryCase):
-        """Event test for the loss of the kept case's root: the mismatch at
-        s_hi, where the two cases meet, changes sign (One has a root iff it is
-        >= 0, Two iff it is <= 0, and Two has no bracket past r = mu)."""
-        up = 1.0 if case is focal.EntryCase.ONE else -1.0
-
-        def past(tt: float, rr: float, thh: float) -> bool:
-            rr, thh = min(max(rr, eps_r), 1.0), min(max(thh, 0.0), _PI)
-            s_hi = min(mu, math.sqrt(mu * rr))
-            if up < 0.0 and s_hi < rr:
-                return True
-            return up * focal._newton(rr, thh, s_hi, case, mu)[0] < 0.0
-
-        return past
-
-    def s_ahead(tt: float, rr: float, thh: float) -> float:
-        """Her case-Two entry radius continued along the step: the kept one
-        once frozen, her predicted radius once r has passed it, else the root
-        that entry_track (entry_root where it declines) finds from it."""
-        if lady_s.frozen:
-            return lady_s.s
-        guess = lady_s.predict(tt)
-        if guess <= rr:
-            return guess
-        rr, thh = min(max(rr, eps_r), 1.0), min(max(thh, 0.0), _PI)
-        two, seen = focal.EntryCase.TWO, {}
-        found = focal.entry_track(rr, thh, params, two, guess, seen) or focal.entry_root(rr, thh, params, two, guess, seen)
-        return found[0] if found else guess
-
-    def fl_ahead(tt: float, rr: float, thh: float) -> bool:
-        return s_ahead(tt, rr, thh) <= rr
-
-    def step_event(at, t1: float, y1, ks) -> tuple[float, str]:
-        """The earliest event over the step from (t, r, th) to t1 and y1, with
-        stages ks and interpolant at: (time, kind), or (t1, "step")."""
-        r1, th1, _ = y1
-        found = []
-
-        def locate(kind: str, past) -> None:
-            found.append((_locate(past, at, t, t1, tol), kind))
-
-        if r < 1.0 <= r1:
-            locate("shore_exit", lambda tt, rr, thh: rr >= 1.0)
-        if r > eps_r >= r1:
-            locate("origin_passage", lambda tt, rr, thh: rr <= eps_r)
-        if line is None:
-            if th > band >= th1:
-                locate("ul_cross", lambda tt, rr, thh: thh <= band)
-            if th < _PI <= th1:
-                locate("fl_cross", lambda tt, rr, thh: thh >= _PI)
-        if (line is not None or pinned) and not held(t1, r1):
-            locate("slide_end", lambda tt, rr, thh: not held(tt, rr))
-        entry = ks[-1][4][1] if ks[-1][4] is not None else None
-        if lady_s.case is focal.EntryCase.ONE and entry is not None and entry[1] is not lady_s.case:
-            locate("tangency", case_lost(focal.EntryCase.ONE))
-        if lady_s.case is focal.EntryCase.TWO:
-            if entry is not None and entry[1] is None and not lady_s.frozen:
-                locate("root_lost", case_lost(focal.EntryCase.TWO))
-            # The step end's own solve, where it made one, is s_ahead's.
-            solved = entry is not None and entry[1] is focal.EntryCase.TWO and not lady_s.frozen
-            if snap_to_fl and (min(entry[0], lady_s.predict(t1)) <= r1 if solved else fl_ahead(t1, r1, th1)):
-                locate("fl_cross", fl_ahead)
-        # The side is read where the step is cut, not past the shore.
-        t_cut = min(found)[0] if found else t1
-        if side is not classical_side(*(at(t_cut)[:2] if t_cut < t1 else (r1, th1))):
-            found.append((_locate(lambda tt, rr, thh: classical_side(rr, thh) is not side, at, t, t_cut, tol),
-                          "barrier_crossing"))
-        return min(found) if found else (t1, "step")
-
-    t, end = 0.0, None
-    # A snapping lady on theta = pi or at the centre leaves the integrator for the focal line.
-    lands_on_fl = segments is None and snap_to_fl and (r < eps_r or abs(th - _PI) <= tol and r <= mu + tol)
+    run = _Run(initial, lady, man, params)
+    traj = run.traj
     if segments is not None:
-        end = events[-1][1] if follow(segments) else None
-        traj.events.extend(ev for ev in events[:-1] if ev[0] <= t)
-    elif not lands_on_fl:
-        end = "reached_e" if at_e(r, th) else ("shore_exit" if r >= 1.0 - tol else None)
-        k1, h = None, 0.1 * params.tol_step**0.2  # a first trial step; error control adapts it
-        err_last, rejected = 1.0, False  # the last accepted step's error over tol_step; the last try's fate
-        anchor, n_rec, n_events = 0.0, 0, 0  # records at anchor + n_rec dt, anchor the last logged event's time
-        n_switch = 1 if period else 0
-        t_switch = period if period else math.inf
-        while True:
-            if k1 is None:
-                # A new step sequence: after an event, a switch or at the start.
-                # M's rate is read between his switches: his rate on the open interval.
-                t_rate = t_switch - 0.5 * period if period else t
-                om_step = None if man_eq else omega(t_rate, r, th)
-                line, pinned, side = None, False, classical_side(r, th)
-                if th in (0.0, _PI):
-                    # On theta = 0 or pi she slides along it, leaves it, or the
-                    # frame is mirrored; at the run's end a slide still sets his
-                    # last rate, and nothing is mirrored.
-                    here, mirrored = line_rates(t, r, th)
-                    if max(here, mirrored) <= 0.0 if th == 0.0 else snap_to_fl and here >= 0.0:
-                        line = th
-                    elif end is None and (here < 0.0 if th == 0.0 else here > 0.0):
-                        sign = -sign
-                        om_step = None if man_eq else omega(t_rate, r, th)
-                        traj.events.append((t, "reflection"))
-                if band:
-                    # He stands still while she slides along theta = 0 (the
-                    # band is that line to her) and runs at 1 elsewhere.
-                    om_step = 0.0 if line == 0.0 else 1.0
-                k1 = stage(t, r, th)
-                if r <= eps_r and k1[0] < 0.0 and end is None:
-                    # Through the centre she would only turn back into it.
-                    pinned = True
-                    k1 = stage(t, r, th)
-                if k1[4] is not None:
-                    lady_s.commit(t, r, k1[4])
-            if len(traj.events) > n_events:
-                anchor, n_rec, n_events = t, 0, len(traj.events)
-            if end is not None or t >= t_max - slack or anchor + n_rec * dt <= t + slack:
-                record(t, alpha, r, th, *k1[3])
-                n_rec += 1
-            if end is not None or t >= t_max - slack:
-                break
-            h_try = min(h, t_max - t, t_switch - t)
-            try:
-                y1, ks, err = _dp45(stage, t, (r, th, alpha), h_try, k1)
-            except LakeGameError:
-                traj.events.append((t, "strategy_error"))
-                break
-            if not (math.isfinite(y1[0]) and math.isfinite(y1[1])):
-                raise LakeGameError(f"integration produced NaN at t = {t}")
-            y0, t1 = (r, th, alpha), t + h_try
-            try:
-                kind, t_end = "step", t1
-                if err <= params.tol_step:
-                    # Its events: the step is taken again up to the earliest, so
-                    # that its stages all lie before it.
-                    at = _dense(t, y0, h_try, ks)
-                    t_end, kind = step_event(at, t1, y1, ks)
-                    if kind != "step" and t_end < t1:
-                        h_try = t_end - t
-                        y1, ks, err = _dp45(stage, t, y0, h_try, k1)
-                        at = _dense(t, y0, h_try, ks)
-                # Step size by Hairer and Wanner's PI control (Solving ODEs I,
-                # IV.2, and their DOPRI5): shrink at most 5x, grow at most 10x,
-                # and not at all right after a rejection.
-                err /= params.tol_step
-                if err > 1.0:
-                    traj.rejected += 1
-                    h, rejected = h_try / min(5.0, err**0.17 / 0.9), True
-                    continue
-                traj.steps += 1
-                h_new = h_try / max(0.1, min(5.0, err**0.17 / err_last**0.04 / 0.9))
-                h_new = min(h_new, h_try) if rejected else h_new
-                h = h_new if h_try >= h else min(h, h_new)
-                err_last, rejected = max(err, 0.0001), False
-                if kind == "step" and (y1[0] < 0.0 or not 0.0 <= y1[1] <= _PI):
-                    # Through the centre from r = eps_r, or off a line she left.
-                    kind = "origin_passage" if y1[0] < 0.0 else "clamp"
-                elif kind == "step" and ks[-1][4] is not None:
-                    # Kept before the records, which then interpolate her radius.
-                    lady_s.commit(t1, y1[0], ks[-1][4])
-                while anchor + n_rec * dt < t_end - slack:
-                    t_rec = anchor + n_rec * dt
-                    r_rec, th_rec, al_rec = at(t_rec)
-                    th_rec = min(max(th_rec, 0.0), _PI)
-                    record(t_rec, al_rec, r_rec, th_rec, *stage(t_rec, r_rec, th_rec)[3])
-                    n_rec += 1
-            except LakeGameError:
-                traj.events.append((t, "strategy_error"))
-                break
-
-            if kind == "step":
-                t, (r, th, alpha), k1 = t1, y1, ks[-1]
-            else:
-                t, (r, th, alpha), k1 = t_end, y1, None
-                th = min(max(th, 0.0), _PI)
-            if kind == "shore_exit":
-                r, end = 1.0, kind
-            elif kind == "origin_passage":
-                # Through the centre onto the opposite ray, seen in the mirrored
-                # frame unless she lands on the focal line, where the mirror is moot.
-                r, th = max(abs(r), eps_r), _PI - th
-                if abs(th - _PI) <= tol:
-                    th = _PI
-                else:
-                    sign = -sign
-                lands_on_fl = snap_to_fl and th == _PI
-                lady_s.reset()
-                traj.events.append((t, kind))
-            elif kind in ("ul_cross", "fl_cross"):
-                # theta = 0 or pi crossed: she enters the singular line (the
-                # focal line only if she snaps, and only up to E), else the frame
-                # is mirrored; at a switch, theta = 0 is left to the new step
-                # sequence and his new rate.
-                lands_on_fl = snap_to_fl and kind == "fl_cross" and r < mu + tol
-                if lands_on_fl or (kind == "ul_cross" and slides(t, r)):
-                    r, th = (min(r, mu), _PI) if lands_on_fl else (r, 0.0)
-                    traj.events.append((t, "fl_entry" if lands_on_fl else "ul_entry"))
-                elif kind == "fl_cross" or t < t_switch:
-                    sign = -sign
-                    traj.events.append((t, "reflection"))
-                end = "reached_e" if at_e(r, th) else None
-            elif kind == "tangency":
-                lady_s.turn()
-                traj.events.append((t, kind))
-            elif kind == "root_lost":
-                lady_s.freeze(min(mu, math.sqrt(mu * max(r, eps_r))))
-            elif kind == "barrier_crossing":
-                traj.events.append((t, kind))
-            if t >= t_switch:
-                n_switch += 1
-                t_switch, k1 = n_switch * period, None
-            if lands_on_fl:
-                break
-    if lands_on_fl:
+        run.end = events[-1][1] if _follow(run, segments, dt, t_max) else None
+        traj.events.extend(ev for ev in events[:-1] if ev[0] <= run.t)
+    # A snapping lady on theta = pi or at the centre leaves the integrator for the focal line.
+    elif (run.snap and (run.r < run.eps_r or abs(run.th - _PI) <= run.tol and run.r <= run.mu + run.tol)
+          or _integrate(run, dt, t_max)):
         # M's canonical rate on the line holds but for the switching man's.
-        rate = (lambda tt: omega(tt, r, _PI)) if period else omega(t, r, _PI)
-        end = "reached_e" if follow([focal.line_segment(t, r, _PI, rate, params)]) else None
-
-    if end is not None:
-        traj.events.append((t, end))
-        traj.outcome = "reached_shore" if end == "shore_exit" else end
-        if end == "shore_exit":
-            traj.theta_f = traj.theta[-1]
-    traj.t_final, traj.evaluations = t, evaluations
+        t, r, man_rate, sign = run.t, run.r, run.man_rate, 1.0 if run.man_eq else run.sign
+        rate = (lambda tt: man_rate(tt, r, _PI) * sign) if run.period else man_rate(t, r, _PI) * sign
+        run.end = "reached_e" if _follow(run, [focal.line_segment(t, r, _PI, rate, params)], dt, t_max) else None
+    if run.end is not None:
+        _log(run, run.end)
+        traj.outcome = "reached_shore" if run.end == "shore_exit" else run.end
+        traj.theta_f = traj.theta[-1] if run.end == "shore_exit" else None
+    traj.t_final = run.t
     return traj
 
 

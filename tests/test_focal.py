@@ -410,3 +410,34 @@ class TestEntryTrack:
                 assert got[0] == pytest.approx(ref[0], abs=1e-10), (kind, params.mu, smp, case)
         # Away from the tangency circle most hints converge.
         assert accepted > (700 if kind == "anywhere" else 0)
+
+
+class TestEntryRootCasePick:
+    """entry_root with no case evaluates Delta_1(s_hi) to pick the case.  Case
+    One reuses that pair as its bracket end, so the pick costs nothing over a
+    solve given case One; case Two, keyed by the same radius, makes its own."""
+
+    @staticmethod
+    def solve_counted(monkeypatch, r, theta, params, case=None, seen=None):
+        calls, newton = [], focal._newton
+        monkeypatch.setattr(focal, "_newton", lambda *a: calls.append(a) or newton(*a))
+        try:
+            return focal.entry_root(r, theta, params, case, None, seen), len(calls)
+        finally:
+            monkeypatch.setattr(focal, "_newton", newton)
+
+    @pytest.mark.parametrize("r,theta,case", [
+        (0.2, 1.0, focal.EntryCase.ONE), (0.2, 2.0, focal.EntryCase.ONE), (0.25, 3.0, focal.EntryCase.ONE),
+        (0.1, 2.85, focal.EntryCase.TWO), (0.05, 2.5, focal.EntryCase.TWO), (0.2, 3.0, focal.EntryCase.TWO),
+    ])
+    def test_pick_adds_one_evaluation_only_for_case_two(self, params, monkeypatch, r, theta, case):
+        picked, n_picked = self.solve_counted(monkeypatch, r, theta, params)
+        given, n_given = self.solve_counted(monkeypatch, r, theta, params, case)
+        assert picked == given and picked[1] is case
+        assert n_picked == n_given + (case is focal.EntryCase.TWO)
+
+    def test_callers_pairs_are_not_written(self, params, monkeypatch):
+        # A pair left in the caller's dict would serve a later case-Two lookup at the same radius.
+        seen = {0.5: (1.0, 0.5)}
+        picked, _ = self.solve_counted(monkeypatch, 0.2, 1.0, params, seen=seen)
+        assert picked[1] is focal.EntryCase.ONE and seen == {0.5: (1.0, 0.5)}

@@ -1453,3 +1453,65 @@ class TestDeviationReport:
         assert report == self.serial_rows((0.2, 1.0))
         assert [man.kind for _, man in parent_calls] == [
             "equilibrium", "equilibrium", "constant_omega", "constant_omega", "switching_omega"]
+
+
+class TestEventTable:
+    """simulate's event table: one row per located event, and the rule for
+    events located at one time (the lowest priority wins)."""
+
+    KINDS = ("barrier_crossing", "fl_cross", "origin_passage", "root_lost",
+             "shore_exit", "slide_end", "tangency", "ul_cross")
+
+    def test_rows_list_the_eight_kinds_in_priority_order(self):
+        priorities = {}
+        for row in sim._EVENTS:
+            priorities.setdefault(row.kind, set()).add(row.priority)
+        assert all(len(p) == 1 for p in priorities.values())  # a kind's rows share its priority
+        assert sorted(priorities, key=lambda kind: min(priorities[kind])) == list(self.KINDS)
+        assert len(set().union(*priorities.values())) == len(self.KINDS)
+        # theta crosses pi, or r meets her case-Two entry radius: two rows, never one OR-predicate.
+        assert [row.kind for row in sim._EVENTS].count("fl_cross") == 2
+        # Located last, before the earliest of the others.
+        assert sim._EVENTS[-1].kind == "barrier_crossing"
+        # _integrate takes row 1's action for a step through the centre from r = eps_r.
+        assert sim._EVENTS[1].kind == "origin_passage"
+
+    @staticmethod
+    def resolve(rows):
+        """_step_event over a step from t = 0 to 1 on the interpolant r = theta = t."""
+        return sim._step_event(types.SimpleNamespace(t=0.0, tol=1e-12), lambda t: (t, t, 0.0), 1.0,
+                               (1.0, 1.0, 0.0), None, rows)
+
+    @staticmethod
+    def row(kind, priority, at, guard=lambda *a: True):
+        return sim._Event(kind, priority, guard, lambda run, t, r, th: t >= at, lambda run: False)
+
+    NEVER = staticmethod(lambda *a: False)
+
+    def test_a_tie_goes_to_the_lowest_priority(self):
+        last = self.row("z", 9, 0.0, guard=self.NEVER)
+        rows = [self.row("c", 2, 0.5), self.row("a", 0, 0.75), self.row("b", 1, 0.5), self.row("d", 3, 0.5), last]
+        t, won = self.resolve(rows)
+        assert won.kind == "b" and abs(t - 0.5) <= 1e-12
+        # Two rows of one kind located at one time: either acts, the first listed is taken.
+        first, second = self.row("x", 1, 0.5), self.row("x", 1, 0.5)
+        assert self.resolve([first, second, last])[1] is first
+        assert self.resolve([self.row("a", 0, 0.5, guard=self.NEVER), last]) == (1.0, None)
+
+    def test_the_earliest_event_wins_whatever_its_priority(self):
+        t, won = self.resolve([self.row("a", 0, 0.75), self.row("z", 9, 0.25), self.row("y", 0, 0.0, self.NEVER)])
+        assert won.kind == "z" and abs(t - 0.25) <= 1e-12
+
+    def test_the_last_row_is_located_before_the_earliest_of_the_others(self):
+        read = []
+        guard = lambda run, t1, r1, th1, e: read.append((t1, r1, th1)) or True  # noqa: E731
+        t, won = self.resolve([self.row("b", 1, 0.5), self.row("a", 0, 0.5, guard)])
+        # Its guard reads the interpolant where the others cut the step, and its own
+        # predicate holds from 0.5 on, so it ties there and wins by priority.
+        assert read == [(t, t, t)] and won.kind == "a" and t == 0.5
+        read.clear()
+        t, won = self.resolve([self.row("b", 1, 0.75), self.row("a", 0, 0.25, guard)])
+        assert read == [(0.75, 0.75, 0.75)] and won.kind == "a" and abs(t - 0.25) <= 1e-12
+        read.clear()
+        t, won = self.resolve([self.row("a", 0, 0.5, guard)])
+        assert read == [(1.0, 1.0, 1.0)] and won.kind == "a"
