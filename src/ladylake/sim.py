@@ -139,9 +139,9 @@ class _Lady:
     Where case One has no root she steers by case Two's, and where case Two
     has none by the end of its bracket, s_hi, where that root left it; once
     the simulator has located that loss (freeze), she steers by the radius
-    kept there.  commit keeps the entry of an evaluation at a step end, but
-    not one past the centre, where theta means nothing.  On the focal line:
-    focal.line_segment.
+    kept there and enters the focal line where r reaches it.  commit keeps
+    the entry of an evaluation at a step end, but not one past the centre,
+    where theta means nothing.  On the focal line: focal.line_segment.
     """
 
     def __init__(self, params: GameParams, delta_psi: float) -> None:
@@ -479,20 +479,6 @@ def _case_lost(run: _Run, case: focal.EntryCase, r: float, th: float) -> bool:
     return case is _TWO and s_hi < r or (1.0 if case is _ONE else -1.0) * focal._newton(r, th, s_hi, case, mu)[0] < 0.0
 
 
-def _fl_ahead(run: _Run, t: float, r: float, th: float) -> bool:
-    """Whether r has reached her case-Two entry radius continued along the
-    step: the kept one once frozen, her predicted radius once r has passed
-    it, else the root entry_track (entry_root where it declines) finds from it."""
-    lady = run.lady
-    guess = lady.s if lady.frozen else lady.predict(t)
-    if lady.frozen or guess <= r:
-        return guess <= r
-    rc, th, seen = min(max(r, run.eps_r), 1.0), min(max(th, 0.0), _PI), {}
-    found = (focal.entry_track(rc, th, run.params, _TWO, guess, seen)
-             or focal.entry_root(rc, th, run.params, _TWO, guess, seen))
-    return (found[0] if found else guess) <= r
-
-
 def _log(run: _Run, kind: str) -> bool:
     """Log an event at run.t; False, the value of an action that ends with it."""
     run.traj.events.append((run.t, kind))
@@ -538,11 +524,11 @@ def _fl_cross(run: _Run) -> bool:
 
 
 # The event table, one row per located event (fl_cross has two: theta crosses
-# pi, or r meets her case-Two entry radius).  A row's guard(run, t1, r1, th1,
-# e) says whether the step from run's state holds it (e: the lady's (s, case)
-# at t1, or None); _locate bisects its past(run, t, r, th) on the step's
-# interpolant; its action(run) at the located time returns whether she is on
-# the focal line.  barrier_crossing, last, is read where the others cut.
+# pi, or r reaches the radius a frozen lady keeps).  A row's guard(run, t1,
+# r1, th1, e) says whether the step from run's state holds it (e: the lady's
+# (s, case) at t1, or None); _locate bisects its past(run, t, r, th) on the
+# step's interpolant; its action(run) at the located time returns whether she
+# is on the focal line.  barrier_crossing, last, is read where the others cut.
 _Event = namedtuple("_Event", "kind priority guard past action")
 _ONE, _TWO = focal.EntryCase.ONE, focal.EntryCase.TWO
 _EVENTS = (
@@ -562,10 +548,8 @@ _EVENTS = (
            lambda run, t1, r1, th1, e: run.lady.case is _TWO and e is not None and e[1] is None and not run.lady.frozen,
            lambda run, t, r, th: _case_lost(run, _TWO, r, th),
            lambda run: run.lady.freeze(min(run.mu, math.sqrt(run.mu * max(run.r, run.eps_r))))),
-    _Event("fl_cross", 1,
-           lambda run, t1, r1, th1, e: run.snap and run.lady.case is _TWO and (
-               min(e[0], run.lady.predict(t1)) <= r1 if e is not None and e[1] is _TWO and not run.lady.frozen
-               else _fl_ahead(run, t1, r1, th1)), _fl_ahead, _fl_cross),
+    _Event("fl_cross", 1, lambda run, t1, r1, th1, e: run.lady.frozen and run.lady.s <= r1,
+           lambda run, t, r, th: run.lady.s <= r, _fl_cross),
     _Event("barrier_crossing", 0, lambda run, t1, r1, th1, e: run.side is not _classical_side(run, r1, th1),
            lambda run, t, r, th: _classical_side(run, r, th) is not run.side,
            lambda run: _log(run, "barrier_crossing")),
@@ -694,12 +678,14 @@ def simulate(
     order wins (the rows' priorities): barrier_crossing, fl_cross,
     origin_passage, root_lost, shore_exit, slide_end, tangency, ul_cross.
 
-    A snapping lady enters the focal line where theta crosses pi or where r
-    meets her case-Two entry radius, whichever is located first, and is put
-    on theta = pi at her r (at most mu); so is one who starts on it or, as in
-    rollout, at the centre (r < eps_r).  By the radius rule she may still be
-    short of the line: all seven delta_psi = -0.05 runs of TestRunSet enter
-    so, and the put moves each of them by about 2.0e-5.
+    A snapping lady enters the focal line where theta crosses pi, or, once
+    frozen, where r reaches the radius she keeps, whichever is located
+    first, and is put on theta = pi at her r (at most mu); so is one who
+    starts on it or, as in rollout, at the centre (r < eps_r).  She is frozen
+    where case Two's root leaves its bracket (root_lost), at the bracket's
+    end s_hi; a root still in it stays above r until theta = pi.  All seven
+    delta_psi = -0.05 runs of TestRunSet are frozen and enter short of the
+    line, and the put moves each of them by about 2.0e-5.
 
     The equilibrium man stands still within tol_event of theta = 0, so to
     every lady the edge of that band is theta = 0 itself.  She enters the line
@@ -726,8 +712,7 @@ def simulate(
         run.end = events[-1][1] if _follow(run, segments, dt, t_max) else None
         traj.events.extend(ev for ev in events[:-1] if ev[0] <= run.t)
     # A snapping lady on theta = pi or at the centre leaves the integrator for the focal line.
-    elif (run.snap and (run.r < run.eps_r or abs(run.th - _PI) <= run.tol and run.r <= run.mu + run.tol)
-          or _integrate(run, dt, t_max)):
+    elif run.snap and solution._fl_start(run.r, run.th, params) or _integrate(run, dt, t_max):
         # M's canonical rate on the line holds but for the switching man's.
         t, r, man_rate, sign = run.t, run.r, run.man_rate, 1.0 if run.man_eq else run.sign
         rate = (lambda tt: man_rate(tt, r, _PI) * sign) if run.period else man_rate(t, r, _PI) * sign

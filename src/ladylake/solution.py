@@ -133,6 +133,12 @@ def advise(
     )
 
 
+def _fl_start(r: float, theta: float, params: GameParams) -> bool:
+    """Whether play from (r, theta) starts on the focal line: within tol_event
+    of theta = pi at r up to mu + tol_event, or at the centre (r < eps_r)."""
+    return (abs(theta - math.pi) <= params.tol_event and r <= params.mu + params.tol_event) or r < params.eps_r
+
+
 # The event that ends each kind of segment.
 _END = {"focal_tributary": "fl_entry", "universal_tributary": "ul_entry",
         "universal_line": "origin_passage", "focal_line": "reached_e", "classical": "shore_exit"}
@@ -152,13 +158,12 @@ def rollout(
     classical path with V <= tol_event, which reaches theta = 0 before the
     shore (only below the critical mu).
     """
-    mu, tol = params.mu, params.tol_event
     r, th = state.r, state.theta
     region = region_of(r, th, params)
-    if (abs(th - math.pi) <= tol and r <= mu + tol) or r < params.eps_r:
+    if _fl_start(r, th, params):
         kinds = ("focal_line",)
     elif region in CLASSICAL_REGIONS:
-        if region is not Region.SHORE and classical.classical_value(state, params) <= tol:
+        if region is not Region.SHORE and classical.classical_value(state, params) <= params.tol_event:
             raise RegionError(f"the classical path from ({r}, {th}) reaches theta = 0 first")
         kinds = ("classical",)
     elif region in UNIVERSAL_REGIONS:

@@ -63,8 +63,8 @@ def path_segment(t0: float, r0: float, th0: float, on_line: bool, params: GamePa
     t1 = t0 + (r0 / mu if on_line else th0)
 
     def state(ts: list[float]):
-        n, i = len(ts), bisect_left(ts, t1)  # ts[i:] are clamped to t1
-        taus = [t - t0 for t in ts[:i]]
+        j, i, n = bisect_left(ts, t0), bisect_left(ts, t1), len(ts)  # ts[:j] are clamped to t0, ts[i:] to t1
+        taus = [0.0] * j + [t - t0 for t in ts[j:i]]
         rs = [r0 - mu * tau for tau in taus] + [0.0 if on_line else r0 - mu * (t1 - t0)] * (n - i)
         ths = [th0] * n if on_line else [th0 - tau for tau in taus] + [0.0] * (n - i)
         return rs, ths, [-1.0] * n, [0.0] * n

@@ -11,8 +11,8 @@ number of records.
 
 --against FILE compares with a digest written before: it lists every run
 whose outcome or event kinds differ, or whose time (t_final, or a row's time)
-moves by more than TIME_BOUND, and then exits 1.  pytest does not collect
-this file; run it from the repository root.
+or shore-exit angle theta_f moves by more than TIME_BOUND, and then exits 1.
+pytest does not collect this file; run it from the repository root.
 """
 from __future__ import annotations
 
@@ -77,8 +77,10 @@ def differences(old: dict, new: dict) -> list[str]:
     why = []
     if (old["outcome"], old["events"]) != (new["outcome"], new["events"]):
         why.append(f"{old['outcome']}: {' '.join(old['events'])} -> {new['outcome']}: {' '.join(new['events'])}")
-    if not abs(new["t_final"] - old["t_final"]) <= TIME_BOUND:
-        why.append(f"t_final {old['t_final']!r} -> {new['t_final']!r}")
+    for key in ("t_final", "theta_f"):  # theta_f: None off the shore, and no deviation row has one
+        a, b = old.get(key), new.get(key)
+        if (a is None) != (b is None) or a is not None and not abs(b - a) <= TIME_BOUND:
+            why.append(f"{key} {a!r} -> {b!r}")
     return why
 
 

@@ -24,6 +24,24 @@ def test_differences(change, flagged):
     assert bool(run_digest.differences(LINE, {**LINE, **change})) is flagged
 
 
+SHORE = {**LINE, "outcome": "reached_shore", "events": ["shore_exit"], "theta_f": 2.5}
+ROW = {"run": "mu=0.3 start=(0.2, 1.0) deviation constant_omega=0", "outcome": "reached_e", "events": [],
+       "t_final": 1.25, "margin": 0.0, "t_eq": 1.25}  # a deviation row has no theta_f
+
+
+@pytest.mark.parametrize("old,new,flagged", [
+    (SHORE, {**SHORE, "theta_f": 2.5 + 2e-9}, True),
+    (SHORE, {**SHORE, "theta_f": 2.5 - 2e-9}, True),
+    (SHORE, {**SHORE, "theta_f": 2.5 + 5e-10}, False),
+    (SHORE, {**SHORE, "theta_f": None}, True),
+    ({**SHORE, "theta_f": None}, SHORE, True),
+    (LINE, {**LINE, "theta_f": None}, False),
+    (ROW, ROW, False),
+])
+def test_differences_in_theta_f(old, new, flagged):
+    assert bool(run_digest.differences(old, new)) is flagged
+
+
 def test_against_counts_changed_and_failed_runs(tmp_path, monkeypatch, capsys):
     old = [LINE, {**LINE, "run": "b"}, {**LINE, "run": "c"}, {**LINE, "run": "gone"}]
     path = tmp_path / "digest.jsonl"

@@ -14,7 +14,7 @@ def universal_at(t0, r0, th0, on_line, params):
     t1 = t0 + (r0 / mu if on_line else th0)
 
     def state(t):
-        tau = min(t, t1) - t0
+        tau = min(max(t, t0), t1) - t0
         r, th = r0 - mu * tau, th0 - om * tau
         if t >= t1:
             r, th = (0.0, th) if on_line else (r, 0.0)

@@ -1469,7 +1469,7 @@ class TestEventTable:
         assert all(len(p) == 1 for p in priorities.values())  # a kind's rows share its priority
         assert sorted(priorities, key=lambda kind: min(priorities[kind])) == list(self.KINDS)
         assert len(set().union(*priorities.values())) == len(self.KINDS)
-        # theta crosses pi, or r meets her case-Two entry radius: two rows, never one OR-predicate.
+        # theta crosses pi, or r reaches a frozen lady's kept radius: two rows, never one OR-predicate.
         assert [row.kind for row in sim._EVENTS].count("fl_cross") == 2
         # Located last, before the earliest of the others.
         assert sim._EVENTS[-1].kind == "barrier_crossing"
@@ -1515,3 +1515,41 @@ class TestEventTable:
         read.clear()
         t, won = self.resolve([self.row("a", 0, 0.5, guard)])
         assert read == [(1.0, 1.0, 1.0)] and won.kind == "a"
+
+    FL_RADIUS = [row for row in sim._EVENTS if row.kind == "fl_cross"][1]
+
+    def holds(self, lady, r1):
+        """The second fl_cross row's guard and predicate at r1, on a snapping lady's run."""
+        run, e = types.SimpleNamespace(lady=lady, snap=True), (lady.s, lady.case)
+        return self.FL_RADIUS.guard(run, 1.0, r1, 3.0, e), self.FL_RADIUS.past(run, 1.0, r1, 3.0)
+
+    def test_an_unfrozen_lady_does_not_hold_the_radius_row(self, params):
+        # Case Two's root stays above r until theta = pi, which the first row
+        # locates; where her radii kept at her last step ends extrapolate to
+        # below r, that is no entry.
+        lady = sim._Lady(params, 0.0)
+        lady.s, lady.case, lady.track = 0.25, focal.EntryCase.TWO, ((0.0, 0.27), (0.5, 0.26), (0.75, 0.25))
+        assert lady.predict(1.0) < 0.24 < lady.s
+        assert self.holds(lady, 0.24) == (False, False)
+
+    def test_a_frozen_lady_holds_it_where_her_kept_radius_is_at_most_r(self, params):
+        lady = sim._Lady(params, 0.0)
+        lady.freeze(0.25)
+        assert [self.holds(lady, r1) for r1 in (0.2, 0.25 - 1e-12, 0.25, 0.3)] == [
+            (False, False), (False, False), (True, True), (True, True)]
+
+    def test_delta_psi_minus_005_runs_enter_at_the_kept_radius(self, params, monkeypatch):
+        # Each of these runs loses case Two's root, is frozen at the bracket's
+        # end, and enters the focal line where r reaches that radius.
+        kept, freeze = [], sim._Lady.freeze
+        monkeypatch.setattr(sim._Lady, "freeze", lambda lady, s: kept.append(s) or freeze(lady, s))
+        entries = 0
+        for start in _RUN_SET:
+            kept.clear()
+            traj = sim.simulate(PolarState(*start), sim.StrategySpec.perturbed(-0.05), _EQ_MAN,
+                                dt=1e-3, t_max=20.0, params=params)
+            for t, kind in traj.events:
+                if kind == "fl_entry":
+                    entries += 1
+                    assert abs(traj.r[traj.t.index(t)] - kept[-1]) <= 1e-9, start
+        assert entries == 7
