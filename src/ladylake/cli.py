@@ -15,8 +15,9 @@ import math
 import re
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import classical, focal, universal, verify
+from . import classical, focal, universal
 from .model import (
     DomainError,
     GameParams,
@@ -24,8 +25,10 @@ from .model import (
     PolarState,
     canonicalize,
 )
-from .sim import StrategySpec, deviation_report, simulate
 from .solution import advise
+
+if TYPE_CHECKING:  # sim and verify load inside the commands that run them
+    from .sim import StrategySpec
 
 _PI = math.pi
 
@@ -102,6 +105,8 @@ def _polyline(points: list[tuple[float, float]], cls: str) -> str:
 def parse_strategy(side: str, text: str) -> StrategySpec:
     """Strategy mini-language: eq | constant:W | switching:T | fixed:C,S |
     perturbed:D."""
+    from .sim import StrategySpec
+
     if text == "eq":
         return StrategySpec.equilibrium(side)
     kind, sep, arg = text.partition(":")
@@ -253,6 +258,8 @@ def _simulate_svg(cart) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import simulate
+
     params = GameParams(args.mu)
     state = canonicalize(args.r0, args.theta0)
     lady = parse_strategy("lady", args.lady)
@@ -272,6 +279,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+    from .sim import deviation_report
+
     params = GameParams(args.mu)
     mu = params.mu
     tol, tol_barrier = 1e-3, 1e-10  # the HJI and saddle threshold, then the barrier's

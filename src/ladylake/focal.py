@@ -368,7 +368,7 @@ def _scan_case(
 
 def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
     """Entry radius for the tributary through a state: smallest root of the
-    arrival-time mismatch, trying the inward-dipping case first.
+    arrival-time mismatch, in the case that the sign of Delta_1(s_hi) picks.
 
     The scan domains are truncated so every square root stays real:
     s <= sqrt(mu r) keeps the tangent leg real, and the outward-only case
@@ -384,7 +384,8 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
     on a focal tributary, Delta_2(r) = pi - theta >= 0, and for r < mu the
     two cases meet at s_hi = sqrt(mu r), where the tangent leg vanishes.
     So case One has a root iff Delta_1(s_hi) >= 0; otherwise case Two has
-    exactly one.
+    exactly one.  That is entry_root's case test: the case it picks is
+    scanned first, and the other only where that scan finds no root.
     """
     mu = params.mu
     r, theta = state.r, state.theta
@@ -395,18 +396,18 @@ def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:
     # near the partition theta = r/mu the root can be arbitrarily small,
     # so the inward-dipping scan starts at zero.
     s_hi = min(mu, math.sqrt(mu * r))
-    roots1 = _scan_case(r, theta, 0.0, s_hi, EntryCase.ONE, params)
-    if roots1:
-        s = min(roots1)
-        case = EntryCase.ONE
+    cases = (EntryCase.ONE, EntryCase.TWO)
+    if _newton(r, theta, s_hi, EntryCase.ONE, mu)[0] < 0.0:
+        # At the switch the grid's Delta_1(s_hi) can round to the other sign
+        # than the kernel's, so the case the kernel rules out is still tried.
+        cases = cases[::-1]
+    for case in cases:
+        roots = _scan_case(r, theta, 0.0 if case is EntryCase.ONE else r, s_hi, case, params)
+        if roots:
+            break
     else:
-        roots2 = _scan_case(r, theta, r, s_hi, EntryCase.TWO, params)
-        if not roots2:
-            raise NoRootError(
-                f"no focal-line entry radius for state (r={r}, theta={theta})"
-            )
-        s = min(roots2)
-        case = EntryCase.TWO
+        raise NoRootError(f"no focal-line entry radius for state (r={r}, theta={theta})")
+    s = min(roots)
     t_lady, t_man = _times(_legs(r, s, mu), theta, case, mu)
     total = time_on_focal_line(s, params) + t_lady
     return EntrySolution(s, case, t_lady, t_man, total)

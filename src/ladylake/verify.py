@@ -1,9 +1,10 @@
 """Numerical verification of the equilibrium claims.
 
-Closed-form costates for both games, Hamiltonian residual evaluation,
-a finite-difference Hamilton-Jacobi-Isaacs sweep over the below-barrier
-region, and the barrier semipermeability sweep.  Adjoint dynamics are
-never integrated; the closed forms are exact along equilibrium paths.
+Closed-form costates for both games, Hamiltonian residual evaluation, the
+min-time game's Isaacs residual, a finite-difference sweep of it over the
+below-barrier region, and the barrier semipermeability sweep.  Adjoint
+dynamics are never integrated; the closed forms are exact along
+equilibrium paths.
 """
 from __future__ import annotations
 
@@ -93,23 +94,19 @@ def min_time_value(r: float, theta: float, params: GameParams) -> float:
     return focal.solve_entry(state, params).total_time
 
 
-def hji_sweep(
-    params: GameParams, n_r: int = 50, n_theta: int = 50, h: float = 1e-5
-) -> HjiReport:
-    """Finite-difference HJI residual over below-barrier grid cells.
+def isaacs_residual(r: float, lam_r: float, lam_theta: float, params: GameParams) -> float:
+    """The min-time Hamiltonian at its saddle, min over psi and max over
+    omega in [-1, 1], in closed form: L's best heading gives -mu
+    |(lam_r, lam_theta/r)| and M's best rate |lam_theta|, so the residual is
+    1 - mu |(lam_r, lam_theta/r)| + |lam_theta|, with no controls to solve."""
+    return 1.0 - params.mu * math.hypot(lam_r, lam_theta / r) + abs(lam_theta)
 
-    The value gradient is approximated by central differences with step h
-    and plugged into the min-time Hamiltonian with equilibrium controls.
-    A cell is used only when it and its four stencil points (r +- h,
-    theta +- h) lie in one tributary region by solution.region_of, since
-    the value has kinks on the region boundaries.  A solve that fails raises:
-    no cell is dropped for it.
-    """
-    if n_r < 2 or n_theta < 2:
-        raise ValueError("grid sizes must be >= 2")
-    worst = 0.0
-    worst_state = None
-    n = 0
+
+def _fd_cells(params: GameParams, n_r: int, n_theta: int, h: float):
+    """(r, theta, lam_r, lam_theta) at each cell hji_sweep uses: the centres of
+    an n_r x n_theta grid whose five-point stencil (r +- h, theta +- h) lies
+    in one tributary region by solution.region_of, since the value has kinks
+    on the region boundaries, with the central-difference value gradient."""
     for i in range(1, n_r + 1):
         r = i / (n_r + 1)
         for j in range(1, n_theta + 1):
@@ -118,19 +115,32 @@ def hji_sweep(
             regions = {solution.region_of(rr, tt, params) for rr, tt in stencil}
             if len(regions) > 1 or regions.pop() not in _TRIBUTARIES:
                 continue
-            v_rp = min_time_value(r + h, theta, params)
-            v_rm = min_time_value(r - h, theta, params)
-            v_tp = min_time_value(r, theta + h, params)
-            v_tm = min_time_value(r, theta - h, params)
-            adv = solution.advise(PolarState(r, theta), params, omega_now=1.0)
-            lam_r = (v_rp - v_rm) / (2.0 * h)
-            lam_t = (v_tp - v_tm) / (2.0 * h)
-            cand = Costate(lam_r, lam_t, lam_t, GameTag.MIN_TIME)
-            res = hamiltonian(PolarState(r, theta), cand, adv.controls, params)
-            n += 1
-            if abs(res) > worst:
-                worst = abs(res)
-                worst_state = (r, theta)
+            lam_r = (min_time_value(r + h, theta, params) - min_time_value(r - h, theta, params)) / (2.0 * h)
+            lam_t = (min_time_value(r, theta + h, params) - min_time_value(r, theta - h, params)) / (2.0 * h)
+            yield r, theta, lam_r, lam_t
+
+
+def hji_sweep(
+    params: GameParams, n_r: int = 50, n_theta: int = 50, h: float = 1e-5
+) -> HjiReport:
+    """Finite-difference Isaacs residual over below-barrier grid cells.
+
+    The value gradient is approximated by central differences with step h,
+    four value solves per cell, and put into isaacs_residual, so no control
+    is solved.  The cells are _fd_cells': those whose stencil lies in one
+    tributary region.  A solve that fails raises: no cell is dropped for it.
+    """
+    if n_r < 2 or n_theta < 2:
+        raise ValueError("grid sizes must be >= 2")
+    worst = 0.0
+    worst_state = None
+    n = 0
+    for r, theta, lam_r, lam_t in _fd_cells(params, n_r, n_theta, h):
+        res = abs(isaacs_residual(r, lam_r, lam_t, params))
+        n += 1
+        if res > worst:
+            worst = res
+            worst_state = (r, theta)
     return HjiReport(worst, worst_state, n)
 
 

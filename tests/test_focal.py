@@ -280,6 +280,80 @@ class TestSolveEntry:
         ent = focal.solve_entry(PolarState(smp.r, smp.theta), params)
         assert ent.s == pytest.approx(s0, abs=1e-6)
 
+    @staticmethod
+    def scanned(monkeypatch, state, params):
+        """solve_entry's answer, NoRootError's type if it raises, and the case
+        of each _scan_case call it makes."""
+        calls, scan = [], focal._scan_case
+        monkeypatch.setattr(focal, "_scan_case", lambda *a: calls.append(a[4]) or scan(*a))
+        try:
+            return focal.solve_entry(state, params), calls
+        except focal.NoRootError as exc:
+            return type(exc), calls
+        finally:
+            monkeypatch.setattr(focal, "_scan_case", scan)
+
+    @pytest.mark.parametrize("r,theta,case", [
+        (0.2, 1.0, focal.EntryCase.ONE), (0.2, 2.0, focal.EntryCase.ONE), (0.25, 3.0, focal.EntryCase.ONE),
+        (0.1, 2.85, focal.EntryCase.TWO), (0.05, 2.5, focal.EntryCase.TWO), (0.2, 3.0, focal.EntryCase.TWO),
+    ])
+    def test_one_scan_in_the_picked_case(self, params, monkeypatch, r, theta, case):
+        # The sign of Delta_1(s_hi) picks the case before any scan, so a
+        # case-Two state no longer scans case One first.
+        entry, calls = self.scanned(monkeypatch, PolarState(r, theta), params)
+        assert calls == [case] and entry.case is case
+
+    @pytest.mark.parametrize("mu,r,theta,s", [
+        (0.99, 0.7345729053600155, 3.046334281945336, 0.8527761583825815),
+        (0.6, 0.4673468402230951, 3.067054638011287, 0.5295357439619603),
+    ])
+    def test_falls_back_to_the_case_ruled_out(self, monkeypatch, mu, r, theta, s):
+        # On the case switch the kernel's Delta_1(s_hi) rounds below 0 here
+        # (-3.9e-16 and -1.1e-16) and the grid's does not, so only the case-One
+        # scan finds the root.  Scanning case One first found the same answer.
+        entry, calls = self.scanned(monkeypatch, PolarState(r, theta), GameParams(mu))
+        assert calls == [focal.EntryCase.TWO, focal.EntryCase.ONE]
+        assert entry.case is focal.EntryCase.ONE and entry.s == s
+
+    @staticmethod
+    def picked(r, theta, params):
+        """entry_root's pick: case One where that case has a root."""
+        one = focal.entry_root(r, theta, params, focal.EntryCase.ONE) is not None
+        return focal.EntryCase.ONE if one else focal.EntryCase.TWO
+
+    def test_case_is_entry_roots_pick(self, monkeypatch):
+        # Seeded tributary states, and states on the case switch s = s_hi: a
+        # tributary's tangency point.  Away from the switch (tau more than
+        # 1e-6 tau_bar from it) the answer is in the picked case.  On it the
+        # picked case is scanned first, and the answer is in it wherever that
+        # scan finds a root: there Delta at s_hi carries a rounding of about
+        # 1e-8, and either solver may find no root.
+        rng = random.Random(28)
+        away = switch = 0
+        while away < 200 or switch < 100:
+            params = GameParams(rng.uniform(0.01, 0.99))
+            s = params.mu * rng.uniform(0.02, 1.0)
+            tau_bar = focal.tangency_time(s, params)
+            on_switch = switch < 100 and rng.random() < 0.5
+            tau = tau_bar if on_switch else rng.uniform(0.0, 3.0 * tau_bar + 0.5)
+            smp = focal.flowfield_sample(s, tau, params)
+            if not (params.eps_r < smp.r < 1.0 and 0.0 < smp.theta < math.pi):
+                continue
+            if region_of(smp.r, smp.theta, params) is not Region.FOCAL_TRIBUTARY:
+                continue
+            if not on_switch and abs(tau - tau_bar) < 1e-6 * tau_bar:
+                continue
+            pick = self.picked(smp.r, smp.theta, params)
+            entry, calls = self.scanned(monkeypatch, PolarState(smp.r, smp.theta), params)
+            assert calls[0] is pick
+            if on_switch:
+                switch += 1
+                assert len(calls) == 2 or entry.case is pick
+            else:
+                away += 1
+                assert calls == [pick] and entry.case is pick
+                assert focal.entry_root(smp.r, smp.theta, params)[1] is pick
+
     def test_total_time_composition(self, params):
         ent = focal.solve_entry(PolarState(0.2, 1.0), params)
         assert ent.total_time == pytest.approx(

@@ -128,15 +128,16 @@ def test_every_public_name_has_a_reader():
 
 
 # Runs argv through cli.main in a fresh interpreter (no argv: the import
-# alone) and prints whether numpy, multiprocessing and multiprocessing.pool
-# were loaded.
+# alone) and prints whether numpy, multiprocessing, multiprocessing.pool,
+# ladylake.sim and ladylake.verify were loaded.
 NUMPY_PROBE = """\
 import contextlib, io, sys
 import ladylake.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert ladylake.cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules, "multiprocessing" in sys.modules, "multiprocessing.pool" in sys.modules)
+print(*(name in sys.modules for name in
+        ("numpy", "multiprocessing", "multiprocessing.pool", "ladylake.sim", "ladylake.verify")))
 """
 
 
@@ -153,11 +154,15 @@ print("numpy" in sys.modules, "multiprocessing" in sys.modules, "multiprocessing
 def test_only_the_scan_loads_numpy(argv, loads_numpy, tmp_path):
     # numpy costs most of a command's start-up, and only focal.solve_entry's
     # scan uses it.  multiprocessing is for deviation_report's forked children
-    # alone, so only verify loads it, and no command loads its Pool.
+    # alone, so only verify loads it, and no command loads its Pool.  Each
+    # module compiles from source where bytecode is not written, so sim loads
+    # only for simulate and verify, and verify only for verify.
     src = Path(ladylake.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(loads_numpy), str(argv[:1] == ["verify"]), "False"]
+    verify = argv[:1] == ["verify"]
+    loads_sim = verify or argv[:1] == ["simulate"]
+    assert proc.stdout.split() == [str(loads_numpy), str(verify), "False", str(loads_sim), str(verify)]

@@ -1,11 +1,13 @@
 import math
+import random
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ladylake import classical, focal, sim, solution, universal, verify
-from ladylake.model import DomainError, GameParams, PolarState
+from ladylake.model import ControlPair, DomainError, GameParams, PolarState
 
 MU = 0.3
 
@@ -201,17 +203,110 @@ class TestHjiSweep:
     def test_keeps_the_band_filter_cells(self, mu, monkeypatch):
         # Stubbed solves make the count cheap: the cells whose stencil lies in
         # one tributary region are the cells the band filter keeps.
-        from ladylake.model import ControlPair
-
         monkeypatch.setattr(verify, "min_time_value", lambda r, theta, p: r + theta)
-        advice = solution.StrategyAdvice(
-            solution.Region.FOCAL_TRIBUTARY, ControlPair(1.0, 0.0, 1.0), 0.0,
-            solution.ValueKind.TIME_TO_E,
-        )
-        monkeypatch.setattr(solution, "advise", lambda *args, **kwargs: advice)
         p = GameParams(mu)
         for n in (9, 10, 11, 50):
             assert verify.hji_sweep(p, n, n).n_samples == _band_filter_count(p, n, n)
+
+    def test_four_solves_per_focal_cell(self, params, monkeypatch):
+        # The Isaacs form needs only the four stencil values: no advise call,
+        # so no fifth solve at the cell's centre.
+        monkeypatch.setattr(verify, "min_time_value", lambda r, theta, p: 0.0)
+        cells = [(r, theta) for r, theta, _, _ in verify._fd_cells(params, 8, 8, 1e-5)]
+        focal_cells = sum(solution.region_of(r, theta, params) is solution.Region.FOCAL_TRIBUTARY
+                          for r, theta in cells)
+        monkeypatch.undo()
+        calls, solve = [], focal.solve_entry
+        monkeypatch.setattr(focal, "solve_entry", lambda *a: calls.append(a) or solve(*a))
+        report = verify.hji_sweep(params, 8, 8)
+        assert report.n_samples == len(cells) > focal_cells > 0
+        assert len(calls) == 4 * focal_cells
+
+    # The worst distance of advise's heading from the FD argmin on these grids,
+    # 6.71e-7 at mu = 0.9 (2.13e-7 at mu = 0.3), both at focal tributaries.
+    HEADING_GAP = 7e-7
+
+    @pytest.mark.parametrize("mu", [0.3, 0.9])
+    def test_advise_plays_the_saddle(self, mu):
+        # The controls that isaacs_residual optimises in closed form are
+        # advise's: M's rate is sign(-lambda_theta), and L's heading is
+        # -(lambda_r, lambda_theta/r)/|.|, both from the sweep's FD gradient.
+        # On a universal tributary the value does not depend on theta, so
+        # lambda_theta is 0 and advise flags M's rate as arbitrary.
+        p = GameParams(mu)
+        n = 0
+        for r, theta, lam_r, lam_t in verify._fd_cells(p, 12, 12, 1e-5):
+            c = solution.advise(PolarState(r, theta), p, omega_now=1.0).controls
+            if c.omega_arbitrary:
+                assert lam_t == 0.0
+            else:
+                assert c.omega == -math.copysign(1.0, lam_t)
+            g = math.hypot(lam_r, lam_t / r)
+            assert math.hypot(c.cos_psi + lam_r / g, c.sin_psi + lam_t / (r * g)) <= self.HEADING_GAP
+            n += 1
+        assert n > 100
+
+
+class TestIsaacsResidual:
+    @staticmethod
+    def draws(seed, n=200):
+        rng = random.Random(seed)
+        for _ in range(n):
+            yield (GameParams(rng.uniform(0.01, 0.99)), rng.uniform(1e-3, 1.0),
+                   rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+
+    @staticmethod
+    def h(p, r, lam_r, lam_t, cos_psi, sin_psi, omega):
+        co = verify.Costate(lam_r, lam_t, lam_t, verify.GameTag.MIN_TIME)
+        return verify.hamiltonian(PolarState(r, 1.0), co, ControlPair(cos_psi, sin_psi, omega), p)
+
+    @staticmethod
+    def saddle(r, lam_r, lam_t):
+        """L's argmin heading and M's argmax rate."""
+        g = math.hypot(lam_r, lam_t / r)
+        return -lam_r / g, -lam_t / (r * g), -math.copysign(1.0, lam_t)
+
+    def test_is_the_hamiltonian_at_the_saddle(self):
+        for p, r, lam_r, lam_t in self.draws(1):
+            res = verify.isaacs_residual(r, lam_r, lam_t, p)
+            at = self.h(p, r, lam_r, lam_t, *self.saddle(r, lam_r, lam_t))
+            scale = 1.0 + abs(lam_t) + p.mu * math.hypot(lam_r, lam_t / r)
+            assert res == pytest.approx(at, abs=8 * sys.float_info.epsilon * scale)
+
+    def test_saddle_property(self):
+        # H(psi*, omega) <= residual <= H(psi, omega*) for any heading psi and
+        # rate omega: no side gains by leaving the saddle alone.
+        rng = random.Random(2)
+        for p, r, lam_r, lam_t in self.draws(3):
+            res = verify.isaacs_residual(r, lam_r, lam_t, p)
+            c, s, w = self.saddle(r, lam_r, lam_t)
+            tol = 8 * sys.float_info.epsilon * (1.0 + abs(lam_t) + p.mu * math.hypot(lam_r, lam_t / r))
+            for _ in range(20):
+                psi, omega = rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0)
+                assert self.h(p, r, lam_r, lam_t, c, s, omega) <= res + tol
+                assert self.h(p, r, lam_r, lam_t, math.cos(psi), math.sin(psi), w) >= res - tol
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_vanishes_on_the_closed_form_costate(self, seed):
+        # The bound, set before measuring, is rounding: a few ulps of the
+        # residual's largest term.
+        rng = random.Random(seed)
+        kinds = {solution.Region.FOCAL_TRIBUTARY: 0, solution.Region.UNIVERSAL_TRIBUTARY: 0}
+        while min(kinds.values()) < 100:
+            p = GameParams(rng.uniform(0.05, 0.95))
+            r, theta = rng.uniform(p.eps_r, 1.0), rng.uniform(0.0, math.pi)
+            region = solution.region_of(r, theta, p)
+            if region not in kinds:
+                continue
+            kinds[region] += 1
+            if region is solution.Region.FOCAL_TRIBUTARY:
+                s, case = focal.entry_root(r, theta, p)
+            else:
+                s, case = 0.0, focal.EntryCase.ONE
+            co = verify.costate_min_time(PolarState(r, theta), s, case, p)
+            scale = 1.0 + abs(co.lambda_theta) + p.mu * math.hypot(co.lambda_r, co.lambda_theta / r)
+            res = verify.isaacs_residual(r, co.lambda_r, co.lambda_theta, p)
+            assert abs(res) <= 4 * sys.float_info.epsilon * scale, (p.mu, r, theta)
 
 
 class TestBarrierSweep:
