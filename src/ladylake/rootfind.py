@@ -1,8 +1,8 @@
-"""Grid-scan bracketing and bisection for scalar root finding."""
+"""Bisection for scalar root finding on a sign-change bracket."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from .model import NoRootError
 
@@ -40,18 +40,3 @@ def bisect(
             b, fb = m, fm
     return 0.5 * (a + b)
 
-
-def grid_brackets(grid: Sequence[float], values: Sequence[float]) -> list[tuple[int, int]]:
-    """Index pairs (i, i+1) where finite values change sign."""
-    out = []
-    prev_i = None
-    for i, v in enumerate(values):
-        if v is None or not math.isfinite(v):
-            prev_i = None
-            continue
-        if prev_i is not None:
-            vp = values[prev_i]
-            if vp == 0.0 or math.copysign(1.0, vp) != math.copysign(1.0, v):
-                out.append((prev_i, i))
-        prev_i = i
-    return out

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from ladylake import classical, focal
 from ladylake.model import DomainError, GameParams, PolarState, RegionError
+from ladylake.rootfind import bisect
 from ladylake.solution import Region, advise, classify, region_of
 
 MU = 0.3
@@ -263,6 +264,9 @@ class TestSolveEntry:
         # Universal-tributary states have no focal-line entry.
         with pytest.raises(focal.NoRootError):
             focal.solve_entry(PolarState(0.8, 1.0), params)
+        # r >= mu empties the picked case's bracket, so entry_root raises too.
+        with pytest.raises(focal.NoRootError):
+            focal.entry_root(0.8, 1.0, params)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -303,17 +307,19 @@ class TestSolveEntry:
         entry, calls = self.scanned(monkeypatch, PolarState(r, theta), params)
         assert calls == [case] and entry.case is case
 
-    @pytest.mark.parametrize("mu,r,theta,s", [
-        (0.99, 0.7345729053600155, 3.046334281945336, 0.8527761583825815),
-        (0.6, 0.4673468402230951, 3.067054638011287, 0.5295357439619603),
+    @pytest.mark.parametrize("mu,r,theta", [
+        (0.99, 0.7345729053600155, 3.046334281945336),
+        (0.6, 0.4673468402230951, 3.067054638011287),
     ])
-    def test_falls_back_to_the_case_ruled_out(self, monkeypatch, mu, r, theta, s):
+    def test_one_scan_on_switch(self, monkeypatch, mu, r, theta):
         # On the case switch the kernel's Delta_1(s_hi) rounds below 0 here
-        # (-3.9e-16 and -1.1e-16) and the grid's does not, so only the case-One
-        # scan finds the root.  Scanning case One first found the same answer.
-        entry, calls = self.scanned(monkeypatch, PolarState(r, theta), GameParams(mu))
-        assert calls == [focal.EntryCase.TWO, focal.EntryCase.ONE]
-        assert entry.case is focal.EntryCase.ONE and entry.s == s
+        # (-3.9e-16 and -1.1e-16; +1.4e-16 and +4.6e-16 at 50 digits), so case
+        # Two is picked and scanned alone, its bracket ending at that value.
+        params = GameParams(mu)
+        entry, calls = self.scanned(monkeypatch, PolarState(r, theta), params)
+        assert calls == [focal.EntryCase.TWO] and entry.case is focal.EntryCase.TWO
+        s, case = focal.entry_root(r, theta, params)
+        assert case is focal.EntryCase.TWO and entry.s == pytest.approx(s, abs=1e-12)
 
     @staticmethod
     def picked(r, theta, params):
@@ -323,11 +329,9 @@ class TestSolveEntry:
 
     def test_case_is_entry_roots_pick(self, monkeypatch):
         # Seeded tributary states, and states on the case switch s = s_hi: a
-        # tributary's tangency point.  Away from the switch (tau more than
-        # 1e-6 tau_bar from it) the answer is in the picked case.  On it the
-        # picked case is scanned first, and the answer is in it wherever that
-        # scan finds a root: there Delta at s_hi carries a rounding of about
-        # 1e-8, and either solver may find no root.
+        # tributary's tangency point.  Only the picked case is scanned, and the
+        # answer is in it, on the switch too, where Delta at s_hi carries a
+        # rounding of about 1e-8 that the pick's one value hides.
         rng = random.Random(28)
         away = switch = 0
         while away < 200 or switch < 100:
@@ -341,18 +345,29 @@ class TestSolveEntry:
                 continue
             if region_of(smp.r, smp.theta, params) is not Region.FOCAL_TRIBUTARY:
                 continue
-            if not on_switch and abs(tau - tau_bar) < 1e-6 * tau_bar:
-                continue
+            switch += on_switch
+            away += not on_switch
             pick = self.picked(smp.r, smp.theta, params)
             entry, calls = self.scanned(monkeypatch, PolarState(smp.r, smp.theta), params)
-            assert calls[0] is pick
-            if on_switch:
-                switch += 1
-                assert len(calls) == 2 or entry.case is pick
-            else:
-                away += 1
-                assert calls == [pick] and entry.case is pick
-                assert focal.entry_root(smp.r, smp.theta, params)[1] is pick
+            assert calls == [pick] and entry.case is pick
+            assert focal.entry_root(smp.r, smp.theta, params)[1] is pick
+
+    def test_tangency_points_answer(self):
+        # Seeded tangency points r = s^2/mu and points 1e-9 to 1e-7 of
+        # tau_bar off them, where Delta_1(s_hi) and Delta_2(s_hi) once
+        # differed by about 1e-8 and neither solver found a root.
+        rng = random.Random(29)
+        points = []
+        for _ in range(300):
+            params = GameParams(rng.uniform(0.01, 0.99))
+            points.append((params, params.mu * rng.uniform(0.02, 1.0)))
+        for d in (0.0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7):
+            for params, s in points:
+                smp = focal.flowfield_sample(s, focal.tangency_time(s, params) * (1.0 + d), params)
+                assert region_of(smp.r, smp.theta, params) is Region.FOCAL_TRIBUTARY
+                adv = advise(PolarState(smp.r, smp.theta), params)
+                s_root, _ = focal.entry_root(smp.r, smp.theta, params)
+                assert adv.entry.s == pytest.approx(s_root, abs=1e-12), (params.mu, smp, d)
 
     def test_total_time_composition(self, params):
         ent = focal.solve_entry(PolarState(0.2, 1.0), params)
@@ -487,9 +502,9 @@ class TestEntryTrack:
 
 
 class TestEntryRootCasePick:
-    """entry_root with no case evaluates Delta_1(s_hi) to pick the case.  Case
-    One reuses that pair as its bracket end, so the pick costs nothing over a
-    solve given case One; case Two, keyed by the same radius, makes its own."""
+    """entry_root with no case evaluates Delta_1(s_hi) to pick the case.  The
+    cases meet at s_hi, so either case reuses that pair as its bracket end, and
+    the pick costs nothing over a solve given the case."""
 
     @staticmethod
     def solve_counted(monkeypatch, r, theta, params, case=None, seen=None):
@@ -508,10 +523,16 @@ class TestEntryRootCasePick:
         picked, n_picked = self.solve_counted(monkeypatch, r, theta, params)
         given, n_given = self.solve_counted(monkeypatch, r, theta, params, case)
         assert picked == given and picked[1] is case
-        assert n_picked == n_given + (case is focal.EntryCase.TWO)
+        assert n_picked == n_given
 
     def test_callers_pairs_are_not_written(self, params, monkeypatch):
         # A pair left in the caller's dict would serve a later case-Two lookup at the same radius.
         seen = {0.5: (1.0, 0.5)}
         picked, _ = self.solve_counted(monkeypatch, 0.2, 1.0, params, seen=seen)
         assert picked[1] is focal.EntryCase.ONE and seen == {0.5: (1.0, 0.5)}
+
+
+class TestBisect:
+    def test_no_sign_change_raises(self):
+        with pytest.raises(focal.NoRootError):
+            bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
