@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .model import (ControlPair, DomainError, GameParams, PolarState, RegionError, Segment,
                     classical_drift)
-from .rootfind import bisect
 
 
 class BarrierSide(enum.Enum):
@@ -88,12 +87,19 @@ def escape_angle(params: GameParams) -> float:
 
 
 def critical_mu() -> float:
-    """Speed ratio at which the guaranteed escape angle vanishes.
-
-    Found by bracketing plus bisection; the game literature's five printed
-    digits (about 0.21723) serve only as a cross-check.
+    """Speed ratio at which the guaranteed escape angle vanishes, by Newton on
+    f(mu) = pi - classical_drift(1, mu).  On (0, 1) f' = sqrt(1 - mu^2)/mu^2 > 0
+    and f'' < 0, so f lies below each tangent: a Newton step from f(mu) < 0, as at
+    0.1, rises to where the tangent is 0 and f <= 0, at or below the root.  So the
+    iterates rise onto it, and the first that does not rise ends the search.  The
+    literature's 0.21723 is only a cross-check.
     """
-    return bisect(lambda mu: math.pi - classical_drift(1.0, mu), 1e-6, 1.0 - 1e-9, GameParams.tol_root)
+    mu = 0.1
+    while True:
+        nxt = mu - (math.pi - classical_drift(1.0, mu)) * mu * mu / math.sqrt(1.0 - mu * mu)
+        if nxt <= mu:
+            return mu
+        mu = nxt
 
 
 def _barrier_radius(r: float, mu: float) -> float:

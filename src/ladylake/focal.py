@@ -23,7 +23,6 @@ from .model import (
     RegionError,
     Segment,
 )
-from .rootfind import bisect
 
 SCAN_POINTS = 4096
 # Bound once for _newton, the entry kernel, which runs at every stage of a deviating run.
@@ -359,9 +358,18 @@ def _scan_case(r: float, theta: float, lo: float, hi: float, case: EntryCase,
              if vals[i] == 0.0 or math.copysign(1.0, vals[i]) != math.copysign(1.0, vals[i + 1])]
     if not flips:
         return None
-    i = flips[0]
-    return bisect(lambda s: _newton(r, theta, s, case, mu)[0], pts[i], pts[i + 1],
-                  params.tol_root, fa=vals[i], fb=vals[i + 1])
+    i = flips[0]  # so [a, b] holds a sign change, or a zero at an end
+    a, b, f_a = pts[i], pts[i + 1], vals[i]
+    if f_a == 0.0 or vals[i + 1] == 0.0:
+        return a if f_a == 0.0 else b
+    while True:
+        m = 0.5 * (a + b)
+        if b - a <= params.tol_root or m == a or m == b:
+            return m
+        f_m = _newton(r, theta, m, case, mu)[0]
+        if f_m == 0.0:
+            return m
+        a, b, f_a = (m, b, f_m) if math.copysign(1.0, f_m) == math.copysign(1.0, f_a) else (a, m, f_a)
 
 
 def solve_entry(state: PolarState, params: GameParams) -> EntrySolution:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +86,12 @@ class TestCriticalMu:
         assert classical.critical_mu() == pytest.approx(
             CRITICAL_MU_REFERENCE, abs=1e-5
         )
+
+    def test_forty_digits(self):
+        # The root of pi - sqrt(1/mu^2 - 1) + acos(mu) to 40 digits (mpmath at 50),
+        # compared exactly: the double nearest it is 5.8e-18 away.
+        exact = Fraction("0.2172336282112216574082793255624707342230")
+        assert abs(Fraction(classical.critical_mu()) - exact) <= Fraction(1, 10**16)
 
     def test_deterministic(self):
         assert classical.critical_mu() == classical.critical_mu()

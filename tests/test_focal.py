@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from ladylake import classical, focal
 from ladylake.model import DomainError, GameParams, PolarState, RegionError
-from ladylake.rootfind import bisect
 from ladylake.solution import Region, advise, classify, region_of
 
 MU = 0.3
@@ -107,6 +106,13 @@ class TestTributaryHeading:
             focal.tributary_heading(
                 PolarState(0.05, 2.0), 0.15, focal.EntryCase.ONE, params
             )
+
+    @pytest.mark.parametrize("s", [0.0, -0.1, 2 * MU])
+    def test_entry_radius_outside_range_rejected(self, params, s):
+        with pytest.raises(DomainError, match=r"^entry radius must lie in \(0, mu\], got "):
+            focal.tributary_heading(PolarState(0.5, 2.0), s, focal.EntryCase.ONE, params)
+        with pytest.raises(DomainError, match=r"^entry radius must lie in \(0, mu\], got "):
+            focal.tangency_time(s, params)
 
 
 class TestFlowfield:
@@ -259,6 +265,19 @@ class TestSolveEntry:
         assert ent.case is focal.EntryCase.TWO
         assert ent.s == pytest.approx(0.1, abs=1e-9)
         assert ent.t_lady == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.9])
+    def test_partition_enters_at_zero(self, mu):
+        # On theta = r/mu the proof's Delta_1(0) = r/mu - theta is 0.0, the
+        # scan's first grid value, so that end, s = 0, is returned as it is.
+        params = GameParams(mu)
+        for r in (0.25 * mu, 0.5 * mu, 0.8 * mu):
+            ent = focal.solve_entry(PolarState(r, r / mu), params)
+            assert ent.s == 0.0 and ent.case is focal.EntryCase.ONE
+
+    def test_below_eps_r_rejected(self, params):
+        with pytest.raises(DomainError, match=r"^r = 5e-10 below cutoff 1e-09$"):
+            focal.solve_entry(PolarState(0.5 * params.eps_r, 2.0), params)
 
     def test_no_root_outside_region(self, params):
         # Universal-tributary states have no focal-line entry.
@@ -531,8 +550,3 @@ class TestEntryRootCasePick:
         picked, _ = self.solve_counted(monkeypatch, 0.2, 1.0, params, seen=seen)
         assert picked[1] is focal.EntryCase.ONE and seen == {0.5: (1.0, 0.5)}
 
-
-class TestBisect:
-    def test_no_sign_change_raises(self):
-        with pytest.raises(focal.NoRootError):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)

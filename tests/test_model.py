@@ -105,6 +105,11 @@ class TestCanonicalize:
     def test_reflection_involution(self):
         assert canonicalize(0.4, -2.0) == canonicalize(0.4, 2.0)
 
+    @pytest.mark.parametrize("theta", [3.2, -3.2, math.nan])
+    def test_beyond_pi_rejected(self, theta):
+        with pytest.raises(DomainError, match=r"^theta must lie in \[-pi, pi\], got "):
+            canonicalize(0.5, theta)
+
 
 class TestCartesian:
     def test_coincident_at_shore(self):

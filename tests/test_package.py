@@ -51,8 +51,7 @@ def test_readme_names_resolve():
 
 def _allowed_spans(tree: ast.AST) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Source spans where a literal tolerance may stand: the GameParams table,
-    parameter and CLI-option defaults, cmd_verify's thresholds and
-    critical_mu's bracket."""
+    parameter and CLI-option defaults and cmd_verify's thresholds."""
     nodes: list[ast.AST] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "GameParams":
@@ -63,9 +62,6 @@ def _allowed_spans(tree: ast.AST) -> list[tuple[tuple[int, int], tuple[int, int]
             nodes += [kw.value for kw in node.keywords if kw.arg == "default"]
         if isinstance(node, ast.FunctionDef) and node.name == "cmd_verify":
             nodes += [n for n in ast.walk(node) if isinstance(n, ast.Assign)]
-        if isinstance(node, ast.FunctionDef) and node.name == "critical_mu":
-            calls = [n for n in ast.walk(node) if getattr(getattr(n, "func", None), "id", "") == "bisect"]
-            nodes += [arg for call in calls for arg in call.args[1:3]]
     return [((n.lineno, n.col_offset), (n.end_lineno, n.end_col_offset)) for n in nodes]
 
 

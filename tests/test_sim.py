@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ladylake import classical, focal, sim, solution
-from ladylake.model import DomainError, GameParams, PolarState, RegionError, rates, to_cartesian
+from ladylake.model import DomainError, GameParams, NoRootError, PolarState, RegionError, rates, to_cartesian
 
 MU = 0.3
 
@@ -69,6 +69,10 @@ class TestStrategySpec:
         with pytest.raises(DomainError):
             sim.StrategySpec.fixed_heading(0.5, 0.5)
         sim.StrategySpec.fixed_heading(math.cos(1.0), math.sin(1.0))
+
+    def test_fixed_heading_needs_a_heading(self):
+        with pytest.raises(DomainError, match="^fixed_heading needs a heading$"):
+            sim.StrategySpec("lady", "fixed_heading")
 
 
 class TestFocalLineRun:
@@ -628,6 +632,8 @@ class TestDegenerateStarts:
                 sim.StrategySpec.equilibrium("man"),
                 params=params,
             )
+        with pytest.raises(DomainError, match="^params is required$"):
+            sim.simulate(PolarState(0.5, 1.0), _EQ_LADY, _EQ_MAN)
 
     @pytest.mark.parametrize("lady,man,t_e", [
         (sim.StrategySpec.perturbed(0.05), _EQ_MAN, math.pi / 2),
@@ -1553,3 +1559,40 @@ class TestEventTable:
                     entries += 1
                     assert abs(traj.r[traj.t.index(t)] - kept[-1]) <= 1e-9, start
         assert entries == 7
+
+
+class TestStrategyError:
+    """A LakeGameError raised while a step is taken, or while its events and
+    records are taken, ends the run with one strategy_error event at the last
+    step end, as a timeout.  The run, (0.2, 1.0) at delta_psi = +0.05, logs
+    tangency at 0.6656 unpatched."""
+
+    @staticmethod
+    def ended(params, monkeypatch, name):
+        """The run with sim's function name wrapped to note run.t at each call,
+        and the last time noted."""
+        starts, wrapped = [], getattr(sim, name)
+        run_t = (lambda a: a[1]) if name == "_dp45" else (lambda a: a[0].t)
+        monkeypatch.setattr(sim, name, lambda *a: starts.append(run_t(a)) or wrapped(*a))
+        traj = sim.simulate(PolarState(0.2, 1.0), sim.StrategySpec.perturbed(0.05), _EQ_MAN, dt=1e-3, params=params)
+        assert traj.outcome == "timeout" and traj.theta_f is None
+        assert traj.events == [(starts[-1], "strategy_error")] and traj.t_final == starts[-1]
+        return traj.t_final
+
+    def test_inside_a_step(self, params, monkeypatch):
+        call = sim._Lady.__call__
+
+        def lady(self, r, th, t=0.0, classical_side=None):
+            if t > 0.3:
+                raise NoRootError("no entry radius after t = 0.3")
+            return call(self, r, th, t, classical_side)
+
+        monkeypatch.setattr(sim._Lady, "__call__", lady)
+        assert 0.0 < self.ended(params, monkeypatch, "_dp45") <= 0.3
+
+    def test_while_events_are_taken(self, params, monkeypatch):
+        def case_lost(*args):
+            raise NoRootError("no entry radius at the tangency")
+
+        monkeypatch.setattr(sim, "_case_lost", case_lost)
+        assert 0.3 < self.ended(params, monkeypatch, "_step_event") < 0.6656
